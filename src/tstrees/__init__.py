@@ -20,7 +20,6 @@ from .core import (
     ROOT_REFERENCE,
     TemporalDataset,
     TemporalDecision,
-    WitnessPolicy,
 )
 from .intervals import (
     WitnessResult,

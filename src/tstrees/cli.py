@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -18,10 +19,10 @@ from .core import (
     ConfusionMatrix,
     DataFormatError,
     FULL_HS,
+    Instance,
     IntervalRelation,
     LearnerConfig,
     TemporalDataset,
-    WitnessPolicy,
 )
 from .dataio import (
     DatasetSource,
@@ -156,8 +157,6 @@ def _config_from_args(args) -> LearnerConfig:
         comparators=_parse_comparators(args.comparators),
         min_leaf_size=args.min_leaf,
         purity_threshold=args.purity,
-        witness_policy=WitnessPolicy(args.witness_policy),
-        seed=args.seed,
     )
 
 
@@ -165,24 +164,36 @@ def _default_alpha(config: LearnerConfig) -> float:
     return config.alpha_grid[0] if len(config.alpha_grid) == 1 else 1.0
 
 
-def _remap_to_model(dataset: TemporalDataset, bundle: ModelBundle) -> TemporalDataset:
+def _check_model_shape(dataset: TemporalDataset, bundle: ModelBundle) -> None:
     if dataset.attribute_count != len(bundle.attribute_names):
         raise DataFormatError(
             f"data has {dataset.attribute_count} channels but the model expects "
             f"{len(bundle.attribute_names)}"
         )
+    if dataset.series_length != bundle.series_length:
+        raise DataFormatError(
+            f"data has series of length {dataset.series_length} but the model "
+            f"expects length {bundle.series_length}"
+        )
+
+
+def _relabel(dataset: TemporalDataset, index: dict[str, int]) -> list[Instance]:
+    """Copies of the dataset's instances whose class indices point, by class
+    name, into ``index``."""
+    return [
+        replace(inst, class_index=index[dataset.class_names[inst.class_index]])
+        for inst in dataset.instances
+    ]
+
+
+def _remap_to_model(dataset: TemporalDataset, bundle: ModelBundle) -> TemporalDataset:
+    _check_model_shape(dataset, bundle)
     index = {name: i for i, name in enumerate(bundle.class_names)}
     unknown = [c for c in dataset.class_names if c not in index]
     if unknown:
         raise DataFormatError(f"data contains classes unknown to the model: {unknown}")
-    instances = [
-        inst.with_reference(inst.reference)
-        for inst in dataset.instances
-    ]
-    for inst in instances:
-        inst.class_index = index[dataset.class_names[inst.class_index]]
     return TemporalDataset(
-        instances=instances,
+        instances=_relabel(dataset, index),
         attribute_names=list(bundle.attribute_names),
         class_names=list(bundle.class_names),
         series_length=dataset.series_length,
@@ -226,13 +237,9 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     bundle = load_model(args.model)
     dataset = _load(args.data, args.format, args.class_column)
-    if dataset.attribute_count != len(bundle.attribute_names):
-        raise DataFormatError(
-            f"data has {dataset.attribute_count} channels but the model expects "
-            f"{len(bundle.attribute_names)}"
-        )
+    _check_model_shape(dataset, bundle)
     for inst in dataset.instances:
-        cls, _ = classify(bundle.tree, inst, bundle.config.witness_policy)
+        cls, _ = classify(bundle.tree, inst)
         sys.stdout.write(bundle.class_names[cls] + "\n")
     return 0
 
@@ -240,15 +247,18 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     dataset = _remap_to_model(_load(args.data, args.format, args.class_column), bundle)
-    matrix = confusion(bundle.tree, dataset, bundle.config.witness_policy)
-    acc = accuracy(matrix)
+    q = dataset.class_count
+    rows = [[0] * q for _ in range(q)]
     scores = []
     for inst in dataset.instances:
-        _, counts = classify(bundle.tree, inst, bundle.config.witness_policy)
+        cls, counts = classify(bundle.tree, inst)
+        rows[cls][inst.class_index] += 1
         total = sum(counts)
         scores.append(
             (inst.class_index, [c / total if total else 0.0 for c in counts])
         )
+    matrix = ConfusionMatrix.from_rows(rows)
+    acc = accuracy(matrix)
     report = class_report(matrix, scores)
 
     out = sys.stdout
@@ -282,18 +292,12 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _tj48_config(alpha_grid: tuple[float, ...], seed: int) -> LearnerConfig:
-    return LearnerConfig(alpha_grid=alpha_grid, relations=FULL_HS, max_derivative=0, seed=seed)
-
-
-def run_method(
-    method: str, train: TemporalDataset, test: TemporalDataset, seed: int
-) -> float:
+def run_method(method: str, train: TemporalDataset, test: TemporalDataset) -> float:
     """Train one comparison method and return its test accuracy."""
     if method.startswith("tj48"):
         _, _, spec = method.partition(":")
         grid = _parse_alpha_spec([spec]) if spec else (1.0,)
-        tree = grow_tree(train, _tj48_config(grid, seed))
+        tree = grow_tree(train, LearnerConfig(alpha_grid=grid))
         return accuracy(confusion(tree, test))
     if method in DISTANCE_METRICS:
         q = train.class_count
@@ -307,7 +311,7 @@ def run_method(
         mask = FeatureMask.from_bits(bits) if bits else FeatureMask(True, True, True, True)
         table, names = feature_table(train, mask)
         labels = [inst.class_index for inst in train.instances]
-        tree = grow_static_tree(table, labels, LearnerConfig(seed=seed))
+        tree = grow_static_tree(table, labels, LearnerConfig())
         test_table, _ = feature_table(test, mask)
         test_labels = [inst.class_index for inst in test.instances]
         encoded = static_series_dataset(
@@ -333,7 +337,7 @@ def _cmd_compare(args) -> int:
     dataset = _load(args.data, args.format, args.class_column)
     train, test = _prepare_split(dataset, args)
     methods = _parse_methods(args.methods)
-    rows = [(m, run_method(m, train, test, args.seed)) for m in methods]
+    rows = [(m, run_method(m, train, test)) for m in methods]
     sys.stdout.write(compare_report(rows, title=Path(args.data).stem))
     if args.report:
         label = Path(args.data).stem
@@ -368,24 +372,18 @@ def _load_merged(paths: list[Path], fmt: str, class_column) -> TemporalDataset:
         return base
     merged = list(base.instances)
     label_index = {name: i for i, name in enumerate(base.class_names)}
-    class_names = list(base.class_names)
     for part in parts[1:]:
         if part.attribute_count != base.attribute_count:
             raise DataFormatError("cannot merge files with different channel counts")
         if part.series_length != base.series_length:
             raise DataFormatError("cannot merge files with different series lengths")
         for inst in part.instances:
-            name = part.class_names[inst.class_index]
-            if name not in label_index:
-                label_index[name] = len(class_names)
-                class_names.append(name)
-            copy = inst.with_reference(inst.reference)
-            copy.class_index = label_index[name]
-            merged.append(copy)
+            label_index.setdefault(part.class_names[inst.class_index], len(label_index))
+        merged += _relabel(part, label_index)
     return TemporalDataset(
         instances=merged,
         attribute_names=list(base.attribute_names),
-        class_names=class_names,
+        class_names=list(label_index),
         series_length=base.series_length,
     )
 
@@ -404,7 +402,7 @@ def _cmd_bench(args) -> int:
         dataset = _load_merged(paths, args.format, args.class_column)
         train, test = _prepare_split(dataset, args)
         for method in methods:
-            acc = run_method(method, train, test, args.seed)
+            acc = run_method(method, train, test)
             cells[(method, name)] = acc
             records.append((name, method, "accuracy", acc))
     sys.stdout.write(grid_report(methods, [name for name, _ in datasets], cells))
@@ -461,10 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--min-leaf", type=int, default=2)
     p_train.add_argument("--purity", type=float, default=0.0,
                          help="entropy at or below which a node becomes a leaf")
-    p_train.add_argument("--witness-policy",
-                         choices=[p.value for p in WitnessPolicy],
-                         default=WitnessPolicy.LEFTMOST_SHORTEST.value)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=0,
+                         help="accepted and ignored: the learner is deterministic")
     p_train.add_argument("--out", default=None, help="write the model file here")
     p_train.add_argument("--theory-class", default=None,
                          help="also print the extracted formulas for this class")

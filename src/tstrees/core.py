@@ -98,18 +98,6 @@ class Comparator(Enum):
 _COMPARATOR_RANK = {Comparator.LE: 0, Comparator.EQ: 1, Comparator.GT: 2}
 
 
-class WitnessPolicy(Enum):
-    """How a satisfying interval is chosen among several candidates.
-
-    Both policies coincide today because successor enumeration is sorted by
-    (start, end); ``FIRST_FOUND`` is kept distinct so future policies do not
-    change the API.
-    """
-
-    LEFTMOST_SHORTEST = "leftmost_shortest"
-    FIRST_FOUND = "first_found"
-
-
 @dataclass(frozen=True, order=True)
 class Interval:
     """An ordered pair of points ``[x, y]`` with ``x < y``.
@@ -373,8 +361,6 @@ class LearnerConfig:
     min_leaf_size: int = 2
     purity_threshold: float = 0.0
     max_threshold_candidates: int = 100
-    witness_policy: WitnessPolicy = WitnessPolicy.LEFTMOST_SHORTEST
-    seed: int = 0
     eq_tolerance: float = 0.0
 
     def __post_init__(self) -> None:

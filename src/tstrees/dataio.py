@@ -40,9 +40,12 @@ class DatasetSource:
 
 def _parse_float(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise DataFormatError(f"non-numeric value {token!r} at {where}") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite value {token!r} at {where}")
+    return value
 
 
 def parse_semicolon_table(content: str, class_column: Union[str, int, None] = None) -> TemporalDataset:

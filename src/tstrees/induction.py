@@ -31,14 +31,15 @@ from .core import (
     ROOT_REFERENCE,
     TemporalDataset,
     TemporalDecision,
-    WitnessPolicy,
     leaf_for_counts,
 )
 from .intervals import (
     check_decision,
     compare_values,
     enumerate_intervals,
-    required_count,
+    point_spans,
+    relation_rectangle,
+    required_counts,
     split_dataset,
 )
 
@@ -101,39 +102,6 @@ class SplitCandidate:
     partition_sizes: tuple[int, int]
 
 
-# Rectangle bounds (r1, r2, c1, c2) of the successor set of [x, y] on the
-# (start, end) grid.  Cells below the diagonal are never set, so bounds may
-# spill across it without affecting counts.
-def _relation_rectangle(rel: IntervalRelation, x: np.ndarray, y: np.ndarray, n: int):
-    zeros = np.zeros_like(x)
-    full = np.full_like(x, n)
-    if rel is Rel.A:
-        return y, y, y + 1, full
-    if rel is Rel.L:
-        return y + 1, full, zeros, full
-    if rel is Rel.B:
-        return x, x, zeros, y - 1
-    if rel is Rel.E:
-        return x + 1, full, y, y
-    if rel is Rel.D:
-        return x + 1, full, zeros, y - 1
-    if rel is Rel.O:
-        return x + 1, y - 1, y + 1, full
-    if rel is Rel.AI:
-        return zeros, x - 1, x, x
-    if rel is Rel.LI:
-        return zeros, full, zeros, x - 1
-    if rel is Rel.BI:
-        return x, x, y + 1, full
-    if rel is Rel.EI:
-        return zeros, x - 1, y, y
-    if rel is Rel.DI:
-        return zeros, x - 1, y + 1, full
-    if rel is Rel.OI:
-        return zeros, x - 1, x + 1, y - 1
-    raise ValueError(f"no rectangle for {rel!r}")
-
-
 class _NodeScanner:
     """Vectorized evaluation of every candidate decision at one node."""
 
@@ -149,7 +117,6 @@ class _NodeScanner:
         self.parent_info = info(self.parent_counts.tolist())
 
         ivals = enumerate_intervals(self.n)
-        self.k = len(ivals)
         self.ix = np.array([iv.x for iv in ivals], dtype=np.intp)
         self.iy = np.array([iv.y for iv in ivals], dtype=np.intp)
         index = {(iv.x, iv.y): k for k, iv in enumerate(ivals)}
@@ -162,27 +129,29 @@ class _NodeScanner:
         # reusable scatter grid; only upper-triangle slots are ever written
         self.grid = np.zeros((self.m, self.n + 1, self.n + 1), dtype=np.int32)
         self.rows = np.arange(self.m)
+        # per modal relation: each reference's successor rectangle, clipped
+        # to the grid, and whether it is empty
+        self.rectangles = {}
+        for rel in config.relations:
+            if rel is Rel.EQ:
+                continue
+            r1, r2, c1, c2 = relation_rectangle(rel, self.ref_x, self.ref_y, self.n)
+            empty = (r1 > r2) | (c1 > c2)
+            clipped = tuple(np.clip(b, 0, self.n) for b in (r1, r2, c1, c2))
+            self.rectangles[rel] = clipped + (empty,)
 
     def _satisfied_by_relation(self, sat: np.ndarray) -> dict[IntervalRelation, np.ndarray]:
         """Per relation, the boolean satisfied-vector over instances, given
         the per-interval satisfaction matrix ``sat`` (m x K)."""
         out: dict[IntervalRelation, np.ndarray] = {}
-        wanted = self.config.relations
-        if Rel.EQ in wanted:
+        if Rel.EQ in self.config.relations:
             out[Rel.EQ] = sat[self.rows, self.ref_k]
-        modal = [r for r in wanted if r is not Rel.EQ]
-        if not modal:
+        if not self.rectangles:
             return out
         self.grid[:, self.ix, self.iy] = sat
         pref = np.zeros((self.m, self.n + 2, self.n + 2), dtype=np.int32)
         pref[:, 1:, 1:] = self.grid.cumsum(axis=1).cumsum(axis=2)
-        for rel in modal:
-            r1, r2, c1, c2 = _relation_rectangle(rel, self.ref_x, self.ref_y, self.n)
-            empty = (r1 > r2) | (c1 > c2)
-            r1c = np.clip(r1, 0, self.n)
-            r2c = np.clip(r2, 0, self.n)
-            c1c = np.clip(c1, 0, self.n)
-            c2c = np.clip(c2, 0, self.n)
+        for rel, (r1c, r2c, c1c, c2c, empty) in self.rectangles.items():
             cnt = (
                 pref[self.rows, r2c + 1, c2c + 1]
                 - pref[self.rows, r1c, c2c + 1]
@@ -208,17 +177,8 @@ class _NodeScanner:
                 thresholds = candidate_thresholds(deriv.ravel(), cfg.max_threshold_candidates)
                 if not thresholds:
                     continue
-                lo = np.maximum(self.ix, 1)
-                hi = np.minimum(self.iy, npts)
-                plen = hi - lo + 1
-                valid = plen >= 1
-                req = {
-                    a: np.array(
-                        [required_count(a, int(p)) if p >= 1 else 1 for p in plen],
-                        dtype=np.int64,
-                    )
-                    for a in cfg.alpha_grid
-                }
+                lo, hi = point_spans(self.ix, self.iy, self.n, z)
+                req = {a: required_counts(a, self.n)[hi - lo + 1] for a in cfg.alpha_grid}
                 for comparator in cfg.comparators:
                     for a_thr in thresholds:
                         point_ok = compare_values(deriv, comparator, a_thr, cfg.eq_tolerance)
@@ -226,7 +186,7 @@ class _NodeScanner:
                         np.cumsum(point_ok, axis=1, out=cum[:, 1:])
                         counts = cum[:, hi] - cum[:, lo - 1]
                         for alpha in cfg.alpha_grid:
-                            sat = valid & (counts >= req[alpha])
+                            sat = counts >= req[alpha]
                             by_rel = self._satisfied_by_relation(sat)
                             for rel, satisfied in by_rel.items():
                                 n1 = int(satisfied.sum())
@@ -281,7 +241,7 @@ def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionT
     cand = best_split(instances, config)
     if cand is None:
         return leaf_for_counts(counts)
-    t1, t2 = split_dataset(instances, cand.decision, config.witness_policy)
+    t1, t2 = split_dataset(instances, cand.decision)
     return Node(
         decision=cand.decision,
         left=_grow(t1, q, config),
@@ -346,11 +306,7 @@ def grow_static_tree(
     return grow_tree(dataset, forced)
 
 
-def classify(
-    tree: DecisionTree,
-    instance: Instance,
-    policy: WitnessPolicy = WitnessPolicy.LEFTMOST_SHORTEST,
-) -> tuple[int, tuple[int, ...]]:
+def classify(tree: DecisionTree, instance: Instance) -> tuple[int, tuple[int, ...]]:
     """Route one instance from the root reference [0, 1] down to a leaf.
 
     Satisfying a modal decision moves the instance onto the witness interval;
@@ -360,7 +316,7 @@ def classify(
     walker = instance.with_reference(ROOT_REFERENCE)
     node = tree
     while isinstance(node, Node):
-        result = check_decision(walker, node.decision, policy)
+        result = check_decision(walker, node.decision)
         if result.satisfied:
             if result.witness is not None:
                 walker = walker.with_reference(result.witness)
@@ -370,11 +326,7 @@ def classify(
     return node.class_index, node.class_counts
 
 
-def confusion(
-    tree: DecisionTree,
-    dataset: TemporalDataset,
-    policy: WitnessPolicy = WitnessPolicy.LEFTMOST_SHORTEST,
-) -> ConfusionMatrix:
+def confusion(tree: DecisionTree, dataset: TemporalDataset) -> ConfusionMatrix:
     """The tree's confusion matrix on a dataset, computed bottom-up.
 
     Each leaf contributes one row: its predicted class against the true-class
@@ -390,7 +342,7 @@ def confusion(
             for inst in insts:
                 rows[node.class_index][inst.class_index] += 1
             return ConfusionMatrix.from_rows(rows)
-        t1, t2 = split_dataset(insts, node.decision, policy)
+        t1, t2 = split_dataset(insts, node.decision)
         return theta(node.left, t1) + theta(node.right, t2)
 
     return theta(tree, instances)

@@ -5,6 +5,12 @@ Intervals live on the extended point domain {0, ..., N}.  Channel values sit
 at points 1..N; the z-th forward difference sits at points 1..N-z.  An
 interval is evaluated on its data-bearing points clipped to that range, and
 fails a decision outright when the clipped point set is empty.
+
+The successor set of every relation is one rectangle of the (start, end)
+grid (:func:`relation_rectangle`); decision checking here and split search in
+:mod:`tstrees.induction` both read it.  :func:`successors`,
+:func:`allen_related` and :func:`holds_on` are the direct definitions the
+tests compare it against.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +28,6 @@ from .core import (
     Interval,
     IntervalRelation,
     TemporalDecision,
-    WitnessPolicy,
 )
 
 Rel = IntervalRelation
@@ -66,15 +71,6 @@ def successors(i: Interval, relation: IntervalRelation, n: int) -> list[Interval
     Built by direct construction per relation; equivalence with filtering the
     full enumeration through :func:`allen_related` is a tested invariant.
     """
-    return list(_successors_cached(i, relation, n))
-
-
-@lru_cache(maxsize=4096)
-def _successors_cached(i: Interval, relation: IntervalRelation, n: int) -> tuple[Interval, ...]:
-    return tuple(_build_successors(i, relation, n))
-
-
-def _build_successors(i: Interval, relation: IntervalRelation, n: int) -> list[Interval]:
     x, y = i.x, i.y
     if relation is Rel.EQ:
         return [i]
@@ -105,6 +101,49 @@ def _build_successors(i: Interval, relation: IntervalRelation, n: int) -> list[I
     raise ValueError(f"unknown relation {relation!r}")
 
 
+Bound = Union[int, np.ndarray]
+
+
+def relation_rectangle(
+    relation: IntervalRelation, x: Bound, y: Bound, n: int
+) -> tuple[Bound, Bound, Bound, Bound]:
+    """Bounds (r1, r2, c1, c2) of the successor set of [x, y] over {0, ..., n}.
+
+    The successors are exactly the intervals [u, v] with r1 <= u <= r2,
+    c1 <= v <= c2 and u < v; eq is the single cell [x, x] x [y, y].  Only L,
+    D and their inverses need the u < v cut.  An empty set shows as r1 > r2
+    or c1 > c2, and bounds may then leave the grid by up to two.  Works
+    elementwise on integer arrays of references.
+    """
+    if relation is Rel.EQ:
+        return x, x, y, y
+    if relation is Rel.A:
+        return y, y, y + 1, n
+    if relation is Rel.L:
+        return y + 1, n - 1, y + 2, n
+    if relation is Rel.B:
+        return x, x, x + 1, y - 1
+    if relation is Rel.E:
+        return x + 1, y - 1, y, y
+    if relation is Rel.D:
+        return x + 1, y - 2, x + 2, y - 1
+    if relation is Rel.O:
+        return x + 1, y - 1, y + 1, n
+    if relation is Rel.AI:
+        return 0, x - 1, x, x
+    if relation is Rel.LI:
+        return 0, x - 2, 1, x - 1
+    if relation is Rel.BI:
+        return x, x, y + 1, n
+    if relation is Rel.EI:
+        return 0, x - 1, y, y
+    if relation is Rel.DI:
+        return 0, x - 1, y + 1, n
+    if relation is Rel.OI:
+        return 0, x - 1, x + 1, y - 1
+    raise ValueError(f"unknown relation {relation!r}")
+
+
 def derivative(channel: Sequence[float] | np.ndarray, z: int) -> np.ndarray:
     """z-fold forward difference of a channel; z = 0 is the channel itself."""
     values = np.asarray(channel, dtype=np.float64)
@@ -126,6 +165,15 @@ def required_count(alpha: float, n_points: int) -> int:
     return -((-frac.numerator * n_points) // frac.denominator)
 
 
+@lru_cache(maxsize=256)
+def required_counts(alpha: float, n: int) -> np.ndarray:
+    """Table of :func:`required_count` for 0..n points.  Entry 0 is 1, so an
+    interval whose clipped point set is empty never holds."""
+    table = np.array([max(required_count(alpha, p), 1) for p in range(n + 1)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def compare_values(
     values: np.ndarray, comparator: Comparator, threshold: float, eq_tolerance: float = 0.0
 ) -> np.ndarray:
@@ -141,11 +189,14 @@ def compare_values(
     raise ValueError(f"unknown comparator {comparator!r}")
 
 
-def clip_points(interval: Interval, n: int, z: int) -> tuple[int, int]:
-    """Data-bearing point range [lo, hi] of ``interval`` for derivative degree
-    ``z`` over raw length ``n``.  Empty when hi < lo."""
-    lo = max(interval.x, 1)
-    hi = min(interval.y, n - z)
+def point_spans(u: Bound, v: Bound, n: int, z: int) -> tuple[Bound, Bound]:
+    """Data-bearing point ranges [lo, hi] of the intervals [u, v] for
+    derivative degree ``z`` over raw length ``n``, elementwise.  An empty
+    range comes back as lo = hi + 1, so prefix-sum counts
+    ``cum[hi] - cum[lo - 1]`` and lengths ``hi - lo + 1`` read 0 and every
+    index stays inside a prefix array of n - z + 1 entries."""
+    hi = np.minimum(v, n - z)
+    lo = np.minimum(np.maximum(u, 1), hi + 1)
     return lo, hi
 
 
@@ -166,7 +217,7 @@ def holds_on(
     values = np.asarray(channel_values, dtype=np.float64)
     n = values.shape[0]
     deriv = derivative(values, z)
-    lo, hi = clip_points(interval, n, z)
+    lo, hi = max(interval.x, 1), min(interval.y, n - z)
     if hi < lo:
         return False
     window = deriv[lo - 1 : hi]
@@ -191,17 +242,13 @@ class WitnessResult:
             raise ValueError("a witness requires satisfaction")
 
 
-def check_decision(
-    instance: Instance,
-    decision: TemporalDecision,
-    policy: WitnessPolicy = WitnessPolicy.LEFTMOST_SHORTEST,
-) -> WitnessResult:
+def check_decision(instance: Instance, decision: TemporalDecision) -> WitnessResult:
     """Evaluate a decision at the instance's current reference interval.
 
-    For eq the condition is checked on the reference interval itself and the
-    reference never moves.  Otherwise the successor intervals are scanned in
-    ascending (x, y) order and the first satisfying one is the witness; under
-    the sorted enumeration both policies pick the same interval.
+    Every interval of the relation's successor rectangle is tested at once
+    from one prefix sum of satisfied points; the first satisfied one in
+    ascending (x, y) order is the witness.  For eq the rectangle is the
+    reference itself and the reference never moves.
     """
     n = instance.series_length
     if decision.attribute_index >= instance.channel_count:
@@ -209,40 +256,35 @@ def check_decision(
             f"decision uses attribute {decision.attribute_index} but the instance "
             f"has {instance.channel_count} channels"
         )
-    channel = instance.channels[decision.attribute_index]
-    if decision.relation is Rel.EQ:
-        ok = holds_on(
-            channel,
-            instance.reference,
-            decision.comparator,
-            decision.threshold,
-            decision.alpha,
-            decision.derivative_degree,
-            decision.eq_tolerance,
-        )
-        return WitnessResult(ok, None)
-
     z = decision.derivative_degree
-    deriv = derivative(channel, z)
+    deriv = derivative(instance.channels[decision.attribute_index], z)
+    ref = instance.reference
+    r1, r2, c1, c2 = relation_rectangle(decision.relation, ref.x, ref.y, n)
+    u = np.arange(max(r1, 0), min(r2, n) + 1)[:, None]
+    v = np.arange(max(c1, 0), min(c2, n) + 1)
+    if not (u.size and v.size):
+        return WitnessResult(False, None)
+
     point_ok = compare_values(
         deriv, decision.comparator, decision.threshold, decision.eq_tolerance
     )
     # prefix counts over points 1..n-z; cum[t] = satisfied points in 1..t
     cum = np.zeros(deriv.shape[0] + 1, dtype=np.int64)
-    np.cumsum(point_ok, out=cum[1:])
-    for cand in _successors_cached(instance.reference, decision.relation, n):
-        lo, hi = clip_points(cand, n, z)
-        if hi < lo:
-            continue
-        if cum[hi] - cum[lo - 1] >= required_count(decision.alpha, hi - lo + 1):
-            return WitnessResult(True, cand)
-    return WitnessResult(False, None)
+    point_ok.cumsum(out=cum[1:])
+    lo, hi = point_spans(u, v, n, z)
+    need = required_counts(decision.alpha, n)[hi - lo + 1]
+    ok = (u < v) & (cum[hi] - cum[lo - 1] >= need)
+    first = int(ok.argmax())
+    if not ok.flat[first]:
+        return WitnessResult(False, None)
+    if decision.relation is Rel.EQ:
+        return WitnessResult(True, None)
+    row, col = divmod(first, v.shape[0])
+    return WitnessResult(True, Interval(int(u[row, 0]), int(v[col])))
 
 
 def split_dataset(
-    instances: Iterable[Instance],
-    decision: TemporalDecision,
-    policy: WitnessPolicy = WitnessPolicy.LEFTMOST_SHORTEST,
+    instances: Iterable[Instance], decision: TemporalDecision
 ) -> tuple[list[Instance], list[Instance]]:
     """Partition instances into (satisfying, non-satisfying).
 
@@ -254,7 +296,7 @@ def split_dataset(
     t1: list[Instance] = []
     t2: list[Instance] = []
     for inst in instances:
-        result = check_decision(inst, decision, policy)
+        result = check_decision(inst, decision)
         if result.satisfied:
             if result.witness is not None:
                 t1.append(inst.with_reference(result.witness))

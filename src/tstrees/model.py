@@ -3,7 +3,8 @@
 The file stores the tree, the attribute and class name tables, the series
 length, and the training configuration.  Dumps are canonical (sorted keys,
 fixed indentation), so loading a file and saving it again is byte-identical.
-A version mismatch refuses to load.
+Files of an unknown version refuse to load; version 1 files load and save
+back as the current version.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ from .core import (
     LearnerConfig,
     Node,
     TemporalDecision,
-    WitnessPolicy,
 )
 
 MODEL_FORMAT = "tstrees-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+# Version 1 also stored a witness policy and a seed, neither of which ever
+# changed a tree; they are ignored on load.
+READABLE_VERSIONS = (1, MODEL_VERSION)
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,6 @@ def _config_to_dict(config: LearnerConfig) -> dict:
         "min_leaf_size": config.min_leaf_size,
         "purity_threshold": config.purity_threshold,
         "max_threshold_candidates": config.max_threshold_candidates,
-        "witness_policy": config.witness_policy.value,
-        "seed": config.seed,
         "eq_tolerance": config.eq_tolerance,
     }
 
@@ -121,8 +122,6 @@ def _config_from_dict(obj: dict) -> LearnerConfig:
             min_leaf_size=int(obj["min_leaf_size"]),
             purity_threshold=float(obj["purity_threshold"]),
             max_threshold_candidates=int(obj["max_threshold_candidates"]),
-            witness_policy=WitnessPolicy(obj["witness_policy"]),
-            seed=int(obj["seed"]),
             eq_tolerance=float(obj.get("eq_tolerance", 0.0)),
         )
     except (KeyError, ValueError, TypeError) as exc:
@@ -150,7 +149,7 @@ def model_from_text(text: str) -> ModelBundle:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataFormatError("not a model file")
     version = payload.get("version")
-    if version != MODEL_VERSION:
+    if version not in READABLE_VERSIONS:
         raise DataFormatError(
             f"model version {version!r} is not supported (expected {MODEL_VERSION})"
         )

@@ -375,7 +375,7 @@ def test_criterion_6_archive_pipeline_and_harness():
 
     methods = ["j48:1100", "ed-i", "dtw-i", "dtw-d",
                "tj48:0.5", "tj48:0.6", "tj48:0.7", "tj48:0.8", "tj48:0.9"]
-    rows = [(m, run_method(m, train, test, seed=7)) for m in methods]
+    rows = [(m, run_method(m, train, test)) for m in methods]
     assert len(rows) == 9
     assert [group_of(m) for m, _ in rows] == (
         ["feature"] + ["distance"] * 3 + ["temporal"] * 5

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,14 @@ from tstrees.cli import main
 from tstrees.core import Instance, LearnerConfig, TemporalDataset
 from tstrees.dataio import serialize_semicolon_table
 from tstrees.induction import classify, grow_tree
-from tstrees.model import ModelBundle, load_model, model_from_text, model_to_text, save_model
+from tstrees.model import (
+    MODEL_VERSION,
+    ModelBundle,
+    load_model,
+    model_from_text,
+    model_to_text,
+    save_model,
+)
 from tstrees.core import DataFormatError
 
 from conftest import random_dataset
@@ -53,13 +62,36 @@ def test_model_version_mismatch_refused():
         series_length=30,
         config=LearnerConfig(),
     )
-    text = model_to_text(bundle).replace('"version": 1', '"version": 99')
+    current = f'"version": {MODEL_VERSION}'
+    assert current in model_to_text(bundle)
+    text = model_to_text(bundle).replace(current, '"version": 99')
     with pytest.raises(DataFormatError, match="version"):
         model_from_text(text)
     with pytest.raises(DataFormatError):
         model_from_text("{}")
     with pytest.raises(DataFormatError):
         model_from_text("not json")
+
+
+def test_version_1_model_loads_and_saves_as_current(tmp_path):
+    bundle = ModelBundle(
+        tree=fixture_tree.golden_tree(),
+        attribute_names=fixture_tree.ATTRS,
+        class_names=fixture_tree.CLASSES,
+        series_length=30,
+        config=LearnerConfig(alpha_grid=(0.6,)),
+    )
+    current = json.loads(model_to_text(bundle))
+    assert current["version"] == MODEL_VERSION == 2
+    assert "witness_policy" not in current["config"] and "seed" not in current["config"]
+    old = dict(current, version=1)
+    old["config"] = dict(current["config"], witness_policy="first_found", seed=7)
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    loaded = load_model(path)
+    assert loaded == bundle
+    save_model(path, loaded)
+    assert path.read_text(encoding="utf-8") == model_to_text(bundle)
 
 
 def test_model_preserves_classification(tmp_path, rng):
@@ -128,12 +160,18 @@ def test_predict_dimension_mismatch_exits_2(tmp_path, capsys):
     wide = TemporalDataset(
         [Instance(np.zeros((2, 4)), 0)], ["var0", "var1"], ["Lo"], 4
     )
-    bad = write_dataset(tmp_path, wide, "wide.csv")
+    long = TemporalDataset([Instance(np.zeros((1, 40)), 0)], ["var0"], ["Lo"], 40)
+    cases = [
+        (write_dataset(tmp_path, wide, "wide.csv"), "channels"),
+        (write_dataset(tmp_path, long, "long.csv"), "length"),
+    ]
     capsys.readouterr()
-    code = main(["predict", "--model", str(model_path), "--data", str(bad)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "channels" in err
+    for bad, word in cases:
+        for command in ("predict", "evaluate"):
+            code = main([command, "--model", str(model_path), "--data", str(bad)])
+            err = capsys.readouterr().err
+            assert code == 2, (command, bad.name)
+            assert word in err, (command, err)
 
 
 def test_evaluate_reports_accuracy(tmp_path, capsys):

@@ -50,6 +50,9 @@ def test_parse_semicolon_table_errors():
         parse_semicolon_table("A1,C\n1;x;3,C1\n")
     with pytest.raises(DataFormatError):
         parse_semicolon_table("A1,C\n1;2;3,\n")
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(DataFormatError, match="non-finite.*row 3, column 'B'"):
+            parse_semicolon_table(f"A,B,C\n1;2,3;4,x\n5;6,7;{token},y\n")
 
 
 def test_semicolon_round_trip(rng):
@@ -102,6 +105,9 @@ def test_parse_uea_errors():
         parse_uea_sequence("1,2:a\n1,2,3:b\n")  # length mismatch
     with pytest.raises(DataFormatError, match="non-numeric"):
         parse_uea_sequence("1,x:a\n")
+    for token in ("nan", "inf", "-inf"):
+        with pytest.raises(DataFormatError, match="non-finite.*line 2, channel 1"):
+            parse_uea_sequence(f"1,2:3,4:a\n5,6:{token},8:b\n")
 
 
 def test_trim():

@@ -109,7 +109,7 @@ def test_best_split_matches_exhaustive_enumeration(rng):
         )
         cfg = LearnerConfig(
             alpha_grid=(0.5, 1.0),
-            max_derivative=1,
+            max_derivative=3,  # up to N - 1 at length 4
             min_leaf_size=int(rng.integers(1, 3)),
         )
         got = best_split(ds.instances, cfg)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import Comparator, Instance, Interval, IntervalRelation, TemporalDecision
 from tstrees.intervals import (
@@ -8,6 +9,7 @@ from tstrees.intervals import (
     derivative,
     enumerate_intervals,
     holds_on,
+    relation_rectangle,
     required_count,
     split_dataset,
     successors,
@@ -78,6 +80,9 @@ def test_successors_equal_filtered_enumeration():
                 got = successors(i, rel, n)
                 assert got == expected
                 assert got == sorted(got, key=lambda v: (v.x, v.y))
+                r1, r2, c1, c2 = relation_rectangle(rel, i.x, i.y, n)
+                inside = [j for j in ivals if r1 <= j.x <= r2 and c1 <= j.y <= c2]
+                assert inside == expected, (i, rel)
 
 
 def test_derivative_examples():
@@ -191,6 +196,49 @@ def test_check_decision_against_slow_oracle(rng):
                     assert (got.witness.x, got.witness.y) == want_wit
                 else:
                     assert got.witness is None
+
+
+@st.composite
+def _checks(draw):
+    """An instance on a random reference interval of a 2-, 3- or 10-point
+    series, and a decision of any relation with degree up to N - 1.  Values
+    and thresholds come from coarse grids so that they coincide."""
+    n = draw(st.sampled_from((2, 3, 10)))
+    x = draw(st.integers(0, n - 1))
+    y = draw(st.integers(x + 1, n))
+    values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    inst = Instance(np.array([values], dtype=np.float64) / 2, 0, reference=Interval(x, y))
+    decision = TemporalDecision(
+        relation=draw(st.sampled_from(list(Rel))),
+        attribute_index=0,
+        derivative_degree=draw(st.integers(0, n - 1)),
+        comparator=draw(st.sampled_from(list(Comparator))),
+        threshold=draw(st.integers(-6, 6)) / 4,
+        alpha=draw(st.sampled_from((0.3, 0.5, 0.7, 1.0))),
+    )
+    return inst, decision
+
+
+# Seven of ten points above 0.5: ceil(0.7 * 10) = 7 holds exactly on the
+# binary value of 0.7, which sits just below 7/10.
+_SEVEN_OF_TEN = np.array([[0, 0, 0, 1, 1, 1, 1, 1, 1, 1]], dtype=np.float64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_checks())
+@example((Instance(_SEVEN_OF_TEN, 0, reference=Interval(1, 10)),
+          TemporalDecision(Rel.EQ, 0, 0, Comparator.GT, 0.5, 0.7)))
+@example((Instance(_SEVEN_OF_TEN, 0, reference=Interval(0, 1)),
+          TemporalDecision(Rel.BI, 0, 0, Comparator.GT, 0.5, 0.7)))  # witness [0, 10]
+@example((Instance(_SEVEN_OF_TEN, 0, reference=Interval(0, 1)),
+          TemporalDecision(Rel.BI, 0, 0, Comparator.GT, 0.5, 0.75)))
+def test_check_decision_matches_slow_check_property(case):
+    inst, decision = case
+    want_sat, want_witness = oracles.slow_check(inst, decision)
+    got = check_decision(inst, decision)
+    assert got.satisfied == want_sat
+    got_witness = None if got.witness is None else (got.witness.x, got.witness.y)
+    assert got_witness == want_witness
 
 
 def test_witness_postconditions(rng):
