@@ -89,8 +89,6 @@ _RELATION_TOKENS["eq"] = IntervalRelation.EQ
 _COMPARATOR_TOKENS = {
     "<=": Comparator.LE,
     "le": Comparator.LE,
-    "=": Comparator.EQ,
-    "eq": Comparator.EQ,
     ">": Comparator.GT,
     "gt": Comparator.GT,
 }
@@ -120,6 +118,12 @@ def _parse_comparators(spec: str) -> tuple[Comparator, ...]:
         token = token.strip().lower()
         if not token:
             continue
+        if token in ("=", "eq"):
+            raise UsageError(
+                "comparator '=' cannot be trained: split thresholds lie strictly "
+                "between observed values and no tolerance is set, so 'x = t' "
+                "never holds on the training data"
+            )
         if token not in _COMPARATOR_TOKENS:
             raise UsageError(f"unknown comparator {token!r}")
         cmp = _COMPARATOR_TOKENS[token]
@@ -333,18 +337,24 @@ def _prepare_split(dataset, args):
     return resample_split(trimmed, args.train_fraction, args.seed)
 
 
+def _race(datasets, methods: list[str], args) -> list[tuple[str, str, str, float]]:
+    """Run every method on a resampled split of each (name, dataset) pair, in
+    order; one (name, method, "accuracy", value) record per run."""
+    records = []
+    for name, dataset in datasets:
+        train, test = _prepare_split(dataset, args)
+        for method in methods:
+            records.append((name, method, "accuracy", run_method(method, train, test)))
+    return records
+
+
 def _cmd_compare(args) -> int:
+    label = Path(args.data).stem
     dataset = _load(args.data, args.format, args.class_column)
-    train, test = _prepare_split(dataset, args)
-    methods = _parse_methods(args.methods)
-    rows = [(m, run_method(m, train, test)) for m in methods]
-    sys.stdout.write(compare_report(rows, title=Path(args.data).stem))
+    records = _race([(label, dataset)], _parse_methods(args.methods), args)
+    sys.stdout.write(compare_report([(m, a) for _, m, _, a in records], title=label))
     if args.report:
-        label = Path(args.data).stem
-        Path(args.report).write_text(
-            metrics_lines([(label, m, "accuracy", a) for m, a in rows]),
-            encoding="utf-8",
-        )
+        Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
     return 0
 
 
@@ -396,15 +406,11 @@ def _cmd_bench(args) -> int:
     if not datasets:
         raise DataFormatError(f"no data files found under {data_dir}")
     methods = _parse_methods(args.methods)
-    cells: dict[tuple[str, str], float] = {}
-    records = []
-    for name, paths in datasets:
-        dataset = _load_merged(paths, args.format, args.class_column)
-        train, test = _prepare_split(dataset, args)
-        for method in methods:
-            acc = run_method(method, train, test)
-            cells[(method, name)] = acc
-            records.append((name, method, "accuracy", acc))
+    loaded = (
+        (name, _load_merged(paths, args.format, args.class_column)) for name, paths in datasets
+    )
+    records = _race(loaded, methods, args)
+    cells = {(method, name): acc for name, method, _, acc in records}
     sys.stdout.write(grid_report(methods, [name for name, _ in datasets], cells))
     if args.report:
         Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--max-z", type=int, default=0, help="maximum derivative degree")
     p_train.add_argument("--relations", default="full-hs",
                          help='comma list of relations or "full-hs"')
-    p_train.add_argument("--comparators", default="<=,>", help="comma list of <=, =, >")
+    p_train.add_argument("--comparators", default="<=,>", help="comma list of <=, >")
     p_train.add_argument("--min-leaf", type=int, default=2)
     p_train.add_argument("--purity", type=float, default=0.0,
                          help="entropy at or below which a node becomes a leaf")

@@ -294,7 +294,11 @@ class Instance:
 
 @dataclass
 class TemporalDataset:
-    """A labelled set of equal-length multivariate series."""
+    """A labelled set of equal-length multivariate series of finite values.
+
+    Non-finite values are refused here, at the library's entry, and not by
+    ``Instance``, whose copies the learner makes at every split.
+    """
 
     instances: list[Instance]
     attribute_names: list[str]
@@ -321,6 +325,10 @@ class TemporalDataset:
                 raise ValueError(f"instance {i}: class index {inst.class_index} out of range")
             if inst.reference.y > big_n:
                 raise ValueError(f"instance {i}: reference interval exceeds domain")
+            if not np.isfinite(inst.channels).all():
+                finite = np.isfinite(inst.channels).all(axis=1)
+                channel = self.attribute_names[int(finite.argmin())]
+                raise DataFormatError(f"instance {i}: channel {channel!r} holds a non-finite value")
 
     @property
     def size(self) -> int:

@@ -180,25 +180,13 @@ def _mark_cells(rows: Sequence[tuple[str, float]]) -> dict[str, str]:
 
 
 def compare_report(rows: Sequence[tuple[str, float]], title: str = "accuracy") -> str:
-    """Single-dataset comparison table: one row per method.
+    """Single-dataset comparison table: one row per method, the
+    one-column :func:`grid_report` headed ``title``.
 
     Best-in-group cells are wrapped in underscores, the absolute best gets a
     trailing star; groups are separated by a rule.
     """
-    if not rows:
-        raise ValueError("compare_report needs at least one row")
-    cells = _mark_cells(rows)
-    name_w = max(len("method"), max(len(m) for m, _ in rows))
-    val_w = max(len(title), max(len(c) for c in cells.values()))
-    lines = [f"{'method'.ljust(name_w)}  {title.rjust(val_w)}"]
-    prev_group = None
-    for method, _ in rows:
-        g = group_of(method)
-        if prev_group is not None and g != prev_group:
-            lines.append("-" * (name_w + 2 + val_w))
-        prev_group = g
-        lines.append(f"{method.ljust(name_w)}  {cells[method].rjust(val_w)}")
-    return "\n".join(lines) + "\n"
+    return grid_report([m for m, _ in rows], [title], {(m, title): a for m, a in rows})
 
 
 def grid_report(

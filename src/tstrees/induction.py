@@ -5,11 +5,13 @@ degree 0 on constant two-point series); the general case searches the full
 grid attributes x relations x comparators x alphas x derivative degrees x
 thresholds and keeps the candidate of minimal weighted child entropy.
 
-Candidate evaluation is vectorized per node: for each (attribute, degree,
-comparator, threshold, alpha) the satisfied intervals of every instance are
-scattered on an (N+1) x (N+1) grid whose 2-D prefix sums answer each
-modality as a rectangle query.  The reduction applies a total canonical
-tie-break, so the winner is independent of evaluation order.
+Candidate evaluation is vectorized per node.  Once per node, each relation's
+successor rectangle (:func:`tstrees.intervals.relation_rectangle`) becomes an
+(instances x intervals) mask.  For each (attribute, degree, comparator,
+threshold, alpha), prefix counts give every interval's satisfaction, and an
+instance satisfies a modality when some satisfied interval lies under its
+mask.  The reduction applies a total canonical tie-break, so the winner is
+independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core import (
 from .intervals import (
     check_decision,
     compare_values,
-    enumerate_intervals,
     point_spans,
     relation_rectangle,
     required_counts,
@@ -102,121 +103,6 @@ class SplitCandidate:
     partition_sizes: tuple[int, int]
 
 
-class _NodeScanner:
-    """Vectorized evaluation of every candidate decision at one node."""
-
-    def __init__(self, instances: Sequence[Instance], config: LearnerConfig):
-        self.config = config
-        self.m = len(instances)
-        self.n_attr = instances[0].channel_count
-        self.n = instances[0].series_length
-        self.channels = np.stack([inst.channels for inst in instances])
-        self.classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
-        self.q = int(self.classes.max()) + 1
-        self.parent_counts = np.bincount(self.classes, minlength=self.q)
-        self.parent_info = info(self.parent_counts.tolist())
-
-        ivals = enumerate_intervals(self.n)
-        self.ix = np.array([iv.x for iv in ivals], dtype=np.intp)
-        self.iy = np.array([iv.y for iv in ivals], dtype=np.intp)
-        index = {(iv.x, iv.y): k for k, iv in enumerate(ivals)}
-        self.ref_k = np.array(
-            [index[(inst.reference.x, inst.reference.y)] for inst in instances],
-            dtype=np.intp,
-        )
-        self.ref_x = np.array([inst.reference.x for inst in instances], dtype=np.int64)
-        self.ref_y = np.array([inst.reference.y for inst in instances], dtype=np.int64)
-        # reusable scatter grid; only upper-triangle slots are ever written
-        self.grid = np.zeros((self.m, self.n + 1, self.n + 1), dtype=np.int32)
-        self.rows = np.arange(self.m)
-        # per modal relation: each reference's successor rectangle, clipped
-        # to the grid, and whether it is empty
-        self.rectangles = {}
-        for rel in config.relations:
-            if rel is Rel.EQ:
-                continue
-            r1, r2, c1, c2 = relation_rectangle(rel, self.ref_x, self.ref_y, self.n)
-            empty = (r1 > r2) | (c1 > c2)
-            clipped = tuple(np.clip(b, 0, self.n) for b in (r1, r2, c1, c2))
-            self.rectangles[rel] = clipped + (empty,)
-
-    def _satisfied_by_relation(self, sat: np.ndarray) -> dict[IntervalRelation, np.ndarray]:
-        """Per relation, the boolean satisfied-vector over instances, given
-        the per-interval satisfaction matrix ``sat`` (m x K)."""
-        out: dict[IntervalRelation, np.ndarray] = {}
-        if Rel.EQ in self.config.relations:
-            out[Rel.EQ] = sat[self.rows, self.ref_k]
-        if not self.rectangles:
-            return out
-        self.grid[:, self.ix, self.iy] = sat
-        pref = np.zeros((self.m, self.n + 2, self.n + 2), dtype=np.int32)
-        pref[:, 1:, 1:] = self.grid.cumsum(axis=1).cumsum(axis=2)
-        for rel, (r1c, r2c, c1c, c2c, empty) in self.rectangles.items():
-            cnt = (
-                pref[self.rows, r2c + 1, c2c + 1]
-                - pref[self.rows, r1c, c2c + 1]
-                - pref[self.rows, r2c + 1, c1c]
-                + pref[self.rows, r1c, c1c]
-            )
-            out[rel] = (cnt > 0) & ~empty
-        return out
-
-    def best(self) -> Optional[SplitCandidate]:
-        cfg = self.config
-        best_key: Optional[tuple] = None
-        best_cand: Optional[SplitCandidate] = None
-        min_leaf = cfg.min_leaf_size
-
-        for attr in range(self.n_attr):
-            raw = self.channels[:, attr, :]
-            for z in range(0, min(cfg.max_derivative, self.n - 1) + 1):
-                deriv = raw
-                for _ in range(z):
-                    deriv = np.diff(deriv, axis=1)
-                npts = self.n - z
-                thresholds = candidate_thresholds(deriv.ravel(), cfg.max_threshold_candidates)
-                if not thresholds:
-                    continue
-                lo, hi = point_spans(self.ix, self.iy, self.n, z)
-                req = {a: required_counts(a, self.n)[hi - lo + 1] for a in cfg.alpha_grid}
-                for comparator in cfg.comparators:
-                    for a_thr in thresholds:
-                        point_ok = compare_values(deriv, comparator, a_thr, cfg.eq_tolerance)
-                        cum = np.zeros((self.m, npts + 1), dtype=np.int64)
-                        np.cumsum(point_ok, axis=1, out=cum[:, 1:])
-                        counts = cum[:, hi] - cum[:, lo - 1]
-                        for alpha in cfg.alpha_grid:
-                            sat = counts >= req[alpha]
-                            by_rel = self._satisfied_by_relation(sat)
-                            for rel, satisfied in by_rel.items():
-                                n1 = int(satisfied.sum())
-                                n2 = self.m - n1
-                                if n1 < min_leaf or n2 < min_leaf:
-                                    continue
-                                c1 = np.bincount(self.classes[satisfied], minlength=self.q)
-                                c2 = self.parent_counts - c1
-                                si = info_split(self.m, [c1.tolist(), c2.tolist()])
-                                if si >= self.parent_info:
-                                    continue
-                                key = (si, attr, rel.rank, comparator.rank, a_thr, alpha, z)
-                                if best_key is None or key < best_key:
-                                    best_key = key
-                                    best_cand = SplitCandidate(
-                                        decision=TemporalDecision(
-                                            relation=rel,
-                                            attribute_index=attr,
-                                            derivative_degree=z,
-                                            comparator=comparator,
-                                            threshold=a_thr,
-                                            alpha=alpha,
-                                            eq_tolerance=cfg.eq_tolerance,
-                                        ),
-                                        split_info=si,
-                                        partition_sizes=(n1, n2),
-                                    )
-        return best_cand
-
-
 def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional[SplitCandidate]:
     """The admissible candidate of minimal weighted child entropy, or None
     when no candidate both respects ``min_leaf_size`` on each side and has
@@ -227,7 +113,72 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     """
     if len(instances) < 2:
         return None
-    return _NodeScanner(instances, config).best()
+    m = len(instances)
+    n = instances[0].series_length
+    channels = np.stack([inst.channels for inst in instances])
+    classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
+    q = int(classes.max()) + 1
+    parent_counts = np.bincount(classes, minlength=q)
+    parent_info = info(parent_counts.tolist())
+
+    # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order,
+    # and per relation an (m, K) mask of each reference's successors
+    u, v = np.triu_indices(n + 1, k=1)
+    ref_x = np.array([[inst.reference.x] for inst in instances])
+    ref_y = np.array([[inst.reference.y] for inst in instances])
+    masks = []
+    for rel in config.relations:
+        r1, r2, c1, c2 = relation_rectangle(rel, ref_x, ref_y, n)
+        masks.append((rel, (r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2)))
+
+    best_key: Optional[tuple] = None
+    best_cand: Optional[SplitCandidate] = None
+    for attr in range(channels.shape[1]):
+        deriv = channels[:, attr, :]
+        for z in range(0, min(config.max_derivative, n - 1) + 1):
+            if z:
+                deriv = np.diff(deriv, axis=1)
+            thresholds = candidate_thresholds(deriv.ravel(), config.max_threshold_candidates)
+            if not thresholds:
+                continue
+            lo, hi = point_spans(u, v, n, z)
+            req = {a: required_counts(a, n)[hi - lo + 1] for a in config.alpha_grid}
+            cum = np.zeros((m, n - z + 1), dtype=np.int64)
+            for comparator in config.comparators:
+                for a_thr in thresholds:
+                    point_ok = compare_values(deriv, comparator, a_thr, config.eq_tolerance)
+                    np.cumsum(point_ok, axis=1, out=cum[:, 1:])
+                    counts = cum[:, hi] - cum[:, lo - 1]
+                    for alpha in config.alpha_grid:
+                        sat = counts >= req[alpha]
+                        for rel, mask in masks:
+                            satisfied = (sat & mask).any(axis=1)
+                            n1 = int(satisfied.sum())
+                            n2 = m - n1
+                            if n1 < config.min_leaf_size or n2 < config.min_leaf_size:
+                                continue
+                            c1 = np.bincount(classes[satisfied], minlength=q)
+                            c2 = parent_counts - c1
+                            si = info_split(m, [c1.tolist(), c2.tolist()])
+                            if si >= parent_info:
+                                continue
+                            key = (si, attr, rel.rank, comparator.rank, a_thr, alpha, z)
+                            if best_key is None or key < best_key:
+                                best_key = key
+                                best_cand = SplitCandidate(
+                                    decision=TemporalDecision(
+                                        relation=rel,
+                                        attribute_index=attr,
+                                        derivative_degree=z,
+                                        comparator=comparator,
+                                        threshold=a_thr,
+                                        alpha=alpha,
+                                        eq_tolerance=config.eq_tolerance,
+                                    ),
+                                    split_info=si,
+                                    partition_sizes=(n1, n2),
+                                )
+    return best_cand
 
 
 def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionTree:

@@ -194,10 +194,14 @@ def test_evaluate_reports_accuracy(tmp_path, capsys):
     assert any("\taccuracy\t" in line for line in lines)
 
 
-def test_usage_error_exits_1(capsys):
+def test_usage_error_exits_1(tmp_path, capsys):
     assert main(["train"]) == 1  # --data missing
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+    data = str(write_dataset(tmp_path, separable_dataset()))
+    for spec in ("<=,=", "eq"):  # thresholds fall between observed values
+        assert main(["train", "--data", data, "--comparators", spec]) == 1
+        assert "never holds on the training data" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

@@ -4,6 +4,7 @@ import pytest
 from tstrees.core import (
     Comparator,
     ConfusionMatrix,
+    DataFormatError,
     FULL_HS,
     Instance,
     Interval,
@@ -101,6 +102,11 @@ def test_dataset_validation():
         TemporalDataset([Instance(np.zeros((2, 4)), 5)], ["a", "b"], ["x", "y"], 4)
     with pytest.raises(ValueError):
         TemporalDataset([inst], ["a", "b"], ["x", "y"], 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        channels = np.zeros((2, 4))
+        channels[1, 2] = bad
+        with pytest.raises(DataFormatError, match="instance 1: channel 'b' holds a non-finite"):
+            TemporalDataset([inst, Instance(channels, 0)], ["a", "b"], ["x", "y"], 4)
 
 
 def test_dataset_class_counts_and_majority():

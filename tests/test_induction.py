@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import (
     Comparator,
@@ -125,6 +126,70 @@ def test_best_split_matches_exhaustive_enumeration(rng):
         d = got.decision
         assert (d.attribute_index, d.relation.rank, d.comparator.rank) == (attr, rel_rank, cmp_rank)
         assert (d.threshold, d.alpha, d.derivative_degree) == (thr, alpha, z)
+
+
+@st.composite
+def _nodes(draw):
+    """Two to eight instances of two channels over 2 or 3 points, each on a
+    random reference interval, so that most successor sets are empty; and a
+    config with every relation and comparator, degree up to N - 1 and a
+    tolerance that lets ``=`` hold.  Values come from a coarse grid so that
+    candidate splits tie."""
+    n = draw(st.sampled_from((2, 3)))
+    instances = []
+    for _ in range(draw(st.integers(2, 8))):
+        x = draw(st.integers(0, n - 1))
+        y = draw(st.integers(x + 1, n))
+        values = draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n))
+        channels = np.array(values, dtype=np.float64).reshape(2, n) / 2
+        instances.append(Instance(channels, draw(st.integers(0, 2)), reference=Interval(x, y)))
+    alphas = draw(st.sets(st.sampled_from((0.3, 0.5, 0.7, 1.0)), min_size=1))
+    config = LearnerConfig(
+        alpha_grid=tuple(sorted(alphas)),
+        max_derivative=draw(st.integers(0, n - 1)),
+        relations=tuple(Rel),
+        comparators=tuple(Comparator),
+        min_leaf_size=draw(st.integers(1, 2)),
+        eq_tolerance=draw(st.sampled_from((0.0, 0.25))),
+    )
+    return instances, config
+
+
+def _ten_point_node(reference, relation, alpha):
+    """Two series with 7 of 10 points above 0.5 and two with 6.  Only the
+    first two hold at alpha 0.7, since ceil(0.7 * 10) = 7 on the binary
+    value of 0.7, which sits just below 7/10."""
+    seven = np.array([[0, 0, 0, 1, 1, 1, 1, 1, 1, 1]], dtype=np.float64)
+    six = np.array([[0, 0, 0, 0, 1, 1, 1, 1, 1, 1]], dtype=np.float64)
+    instances = [
+        Instance(series, cls, reference=reference)
+        for series, cls in ((seven, 0), (seven, 0), (six, 1), (six, 1))
+    ]
+    config = LearnerConfig(
+        alpha_grid=(alpha,),
+        relations=(relation,),
+        comparators=(Comparator.GT,),
+        min_leaf_size=1,
+    )
+    return instances, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nodes())
+@example(_ten_point_node(Interval(0, 10), Rel.EQ, 0.7))  # splits 2 / 2
+@example(_ten_point_node(Interval(0, 1), Rel.BI, 0.7))  # witness [0, 10]
+@example(_ten_point_node(Interval(0, 1), Rel.BI, 0.75))  # no split
+def test_best_split_matches_exhaustive_enumeration_property(node):
+    instances, config = node
+    got = best_split(instances, config)
+    want = oracles.exhaustive_best_split(instances, config)
+    if want is None:
+        assert got is None
+        return
+    d = got.decision
+    key = (got.split_info, d.attribute_index, d.relation.rank, d.comparator.rank,
+           d.threshold, d.alpha, d.derivative_degree)
+    assert (key, got.partition_sizes) == want
 
 
 def test_grow_tree_single_class_is_leaf():
