@@ -154,14 +154,17 @@ def _load(path_text: str, fmt: str, class_column) -> TemporalDataset:
 
 
 def _config_from_args(args) -> LearnerConfig:
-    return LearnerConfig(
-        alpha_grid=_parse_alpha_spec(args.alpha) if args.alpha else (1.0,),
-        max_derivative=args.max_z,
-        relations=_parse_relations(args.relations),
-        comparators=_parse_comparators(args.comparators),
-        min_leaf_size=args.min_leaf,
-        purity_threshold=args.purity,
-    )
+    try:
+        return LearnerConfig(
+            alpha_grid=_parse_alpha_spec(args.alpha) if args.alpha else (1.0,),
+            max_derivative=args.max_z,
+            relations=_parse_relations(args.relations),
+            comparators=_parse_comparators(args.comparators),
+            min_leaf_size=args.min_leaf,
+            purity_threshold=args.purity,
+        )
+    except ValueError as exc:  # a value out of range, or an alpha that is no number
+        raise UsageError(str(exc)) from exc
 
 
 def _default_alpha(config: LearnerConfig) -> float:
@@ -205,8 +208,8 @@ def _remap_to_model(dataset: TemporalDataset, bundle: ModelBundle) -> TemporalDa
 
 
 def _cmd_train(args) -> int:
-    dataset = _load(args.data, args.format, args.class_column)
     config = _config_from_args(args)
+    dataset = _load(args.data, args.format, args.class_column)
     tree = grow_tree(dataset, config)
     sys.stdout.write(
         render_tree(

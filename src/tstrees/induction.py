@@ -7,10 +7,25 @@ thresholds and keeps the candidate of minimal weighted child entropy.
 
 Candidate evaluation is vectorized per node.  Once per node, each relation's
 successor rectangle (:func:`tstrees.intervals.relation_rectangle`) becomes an
-(instances x intervals) mask.  For each (attribute, degree, comparator,
-threshold, alpha), prefix counts give every interval's satisfaction, and an
-instance satisfies a modality when some satisfied interval lies under its
-mask.  The reduction applies a total canonical tie-break, so the winner is
+(instances x intervals) mask.
+
+Comparators ``<=`` and ``>`` are monotone in the threshold, so they are
+searched by a sort and sweep, as C4.5 searches a numeric attribute (Quinlan
+1993).  Each point value is replaced by its rank among the sorted candidate
+thresholds.  An interval of p data-bearing points satisfies ``A <= t`` at
+alpha exactly when its k-th smallest value is <= t, and ``A > t`` exactly
+when its k-th largest value is > t, with k = ceil(alpha * p); every window
+of each length is sorted once per (attribute, degree) to read these order
+statistics.  Per (comparator, alpha, relation), one masked min (or max) over
+an instance's successors gives its critical value, and cumulative class
+counts over the critical values give the partition at every threshold at
+once.  Only the first threshold of each distinct partition is scored.
+
+Comparator ``=`` is not monotone and keeps one mask pass per threshold:
+prefix counts give every interval's satisfaction, and an instance satisfies
+the modality when some satisfied interval lies under its mask.
+
+The reduction applies a total canonical tie-break, so the winner is
 independent of evaluation order.
 """
 
@@ -23,6 +38,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    Comparator,
     DecisionTree,
     ConfusionMatrix,
     Instance,
@@ -78,11 +94,14 @@ def candidate_thresholds(values: Sequence[float] | np.ndarray, cap: int) -> list
     Midpoints between consecutive distinct sorted values; when more than
     ``cap`` exist they are thinned to ``cap`` evenly spaced ones (by index
     over the midpoint sequence, i.e. evenly spaced quantiles).  Deterministic;
-    empty for a constant multiset.
+    empty for a constant multiset.  NaN and infinite values are refused, so
+    the thresholds are finite and ascending.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot derive thresholds from no values")
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot derive thresholds from NaN or infinite values")
     distinct = np.unique(arr)
     if distinct.size < 2:
         return []
@@ -103,6 +122,50 @@ class SplitCandidate:
     partition_sizes: tuple[int, int]
 
 
+def _order_statistics(
+    deriv: np.ndarray,
+    thresholds: list[float],
+    lo: np.ndarray,
+    length: np.ndarray,
+    sweeps: list[tuple[Comparator, float]],
+    n: int,
+) -> list[np.ndarray]:
+    """For each (comparator, alpha) of ``sweeps``, an (m, K) array holding,
+    per instance and interval, the threshold rank that decides the interval.
+    Interval k covers the data-bearing points ``lo[k] .. lo[k] + length[k] - 1``.
+
+    A value's rank is the number of thresholds below it, so ``x <= t_j`` iff
+    rank <= j and ``x > t_j`` iff rank > j.  An interval of p points
+    satisfies ``A <= t_j`` at alpha iff its k-th smallest rank is <= j, and
+    ``A > t_j`` iff its k-th largest rank is > j, with
+    k = ``required_counts(alpha, n)[p]``.  The windows of each length are
+    sorted once for all of ``sweeps``.  Intervals without data-bearing points
+    get rank t (resp. -1), which never holds.  The arrays use the smallest
+    integer type that holds -t - 1 .. t (int8 for up to 127 thresholds), so
+    keeping one per (comparator, alpha) costs little memory.
+    """
+    m, points = deriv.shape
+    t = len(thresholds)
+    dtype = np.min_scalar_type(-t - 1)
+    # int32 windows sort several times faster than int8 ones
+    ranks = np.searchsorted(thresholds, deriv, side="left").astype(np.int32)
+    stats = [
+        np.full((m, length.size), t if comparator is Comparator.LE else -1, dtype=dtype)
+        for comparator, _ in sweeps
+    ]
+    for size in range(1, points + 1):
+        cols = np.flatnonzero(length == size)
+        if not cols.size:
+            continue
+        window = ranks[:, np.arange(points - size + 1)[:, None] + np.arange(size)]
+        window.sort(axis=2)
+        starts = lo[cols] - 1
+        for (comparator, alpha), stat in zip(sweeps, stats):
+            k = required_counts(alpha, n)[size]
+            stat[:, cols] = window[:, starts, k - 1 if comparator is Comparator.LE else size - k]
+    return stats
+
+
 def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional[SplitCandidate]:
     """The admissible candidate of minimal weighted child entropy, or None
     when no candidate both respects ``min_leaf_size`` on each side and has
@@ -119,34 +182,82 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
     q = int(classes.max()) + 1
     parent_counts = np.bincount(classes, minlength=q)
-    parent_info = info(parent_counts.tolist())
+    parent_list = parent_counts.tolist()
+    parent_info = info(parent_list)
+    low, high = config.min_leaf_size, m - config.min_leaf_size
 
     # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order,
-    # and per relation an (m, K) mask of each reference's successors
+    # and per relation an (m, K) mask of each reference's successors; a
+    # relation without successors for any instance holds nowhere, and since
+    # min_leaf_size >= 1 it has no admissible candidate
     u, v = np.triu_indices(n + 1, k=1)
     ref_x = np.array([[inst.reference.x] for inst in instances])
     ref_y = np.array([[inst.reference.y] for inst in instances])
     masks = []
     for rel in config.relations:
         r1, r2, c1, c2 = relation_rectangle(rel, ref_x, ref_y, n)
-        masks.append((rel, (r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2)))
+        mask = (r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2)
+        if mask.any():
+            masks.append((rel, mask))
 
     best_key: Optional[tuple] = None
     best_cand: Optional[SplitCandidate] = None
+    # split_info per distinct satisfying class counts, kept per (attribute,
+    # degree): most repeats come from other relations, alphas and comparators
+    # on the same values, and a per-node table would hold thousands of keys
+    split_infos: dict[tuple[int, ...], float] = {}
+
+    def offer(c1: tuple[int, ...], attr, rel, comparator, a_thr, alpha, z) -> None:
+        """Score the candidate whose satisfying side has class counts ``c1``
+        (its size already within the leaf bounds); keep it if it wins."""
+        nonlocal best_key, best_cand
+        si = split_infos.get(c1)
+        if si is None:
+            c2 = [p - c for p, c in zip(parent_list, c1)]
+            si = split_infos[c1] = info_split(m, [list(c1), c2])
+        if si >= parent_info or (best_key is not None and si > best_key[0]):
+            return
+        key = (si, attr, rel.rank, comparator.rank, a_thr, alpha, z)
+        if best_key is None or key < best_key:
+            n1 = sum(c1)
+            best_key = key
+            best_cand = SplitCandidate(
+                decision=TemporalDecision(
+                    relation=rel,
+                    attribute_index=attr,
+                    derivative_degree=z,
+                    comparator=comparator,
+                    threshold=a_thr,
+                    alpha=alpha,
+                    eq_tolerance=config.eq_tolerance,
+                ),
+                split_info=si,
+                partition_sizes=(n1, m - n1),
+            )
+
+    sweeps = [
+        (comparator, alpha)
+        for comparator in config.comparators
+        if comparator is not Comparator.EQ
+        for alpha in config.alpha_grid
+    ]
     for attr in range(channels.shape[1]):
         deriv = channels[:, attr, :]
         for z in range(0, min(config.max_derivative, n - 1) + 1):
+            split_infos.clear()
             if z:
                 deriv = np.diff(deriv, axis=1)
             thresholds = candidate_thresholds(deriv.ravel(), config.max_threshold_candidates)
             if not thresholds:
                 continue
             lo, hi = point_spans(u, v, n, z)
-            req = {a: required_counts(a, n)[hi - lo + 1] for a in config.alpha_grid}
-            cum = np.zeros((m, n - z + 1), dtype=np.int64)
-            for comparator in config.comparators:
+            length = hi - lo + 1
+            if Comparator.EQ in config.comparators:
+                # not monotone in the threshold: one mask pass per threshold
+                req = {a: required_counts(a, n)[length] for a in config.alpha_grid}
+                cum = np.zeros((m, n - z + 1), dtype=np.int64)
                 for a_thr in thresholds:
-                    point_ok = compare_values(deriv, comparator, a_thr, config.eq_tolerance)
+                    point_ok = compare_values(deriv, Comparator.EQ, a_thr, config.eq_tolerance)
                     np.cumsum(point_ok, axis=1, out=cum[:, 1:])
                     counts = cum[:, hi] - cum[:, lo - 1]
                     for alpha in config.alpha_grid:
@@ -154,30 +265,37 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                         for rel, mask in masks:
                             satisfied = (sat & mask).any(axis=1)
                             n1 = int(satisfied.sum())
-                            n2 = m - n1
-                            if n1 < config.min_leaf_size or n2 < config.min_leaf_size:
-                                continue
-                            c1 = np.bincount(classes[satisfied], minlength=q)
-                            c2 = parent_counts - c1
-                            si = info_split(m, [c1.tolist(), c2.tolist()])
-                            if si >= parent_info:
-                                continue
-                            key = (si, attr, rel.rank, comparator.rank, a_thr, alpha, z)
-                            if best_key is None or key < best_key:
-                                best_key = key
-                                best_cand = SplitCandidate(
-                                    decision=TemporalDecision(
-                                        relation=rel,
-                                        attribute_index=attr,
-                                        derivative_degree=z,
-                                        comparator=comparator,
-                                        threshold=a_thr,
-                                        alpha=alpha,
-                                        eq_tolerance=config.eq_tolerance,
-                                    ),
-                                    split_info=si,
-                                    partition_sizes=(n1, n2),
-                                )
+                            if low <= n1 <= high:
+                                c1 = tuple(np.bincount(classes[satisfied], minlength=q).tolist())
+                                offer(c1, attr, rel, Comparator.EQ, a_thr, alpha, z)
+            if not sweeps:
+                continue
+            t = len(thresholds)
+            stats = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
+            for (comparator, alpha), stat in zip(sweeps, stats):
+                smallest = comparator is Comparator.LE
+                reduce = np.minimum.reduce if smallest else np.maximum.reduce
+                never = t if smallest else -1
+                for rel, mask in masks:
+                    # the critical rank: the instance satisfies the modality
+                    # at thresholds[j] iff it is <= j (resp. > j)
+                    crit = reduce(stat, axis=1, where=mask, initial=never)
+                    # le[j, c]: instances of class c whose critical rank is <= j
+                    rows = (crit.astype(np.intp) + 1) * q + classes
+                    hist = np.bincount(rows, minlength=(t + 2) * q).reshape(t + 2, q)
+                    # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
+                    # form leaves fresh name strings in CPython's type cache
+                    le = np.add.accumulate(hist)[1 : t + 1]
+                    below = le.sum(axis=1)
+                    sizes = below if smallest else m - below
+                    # a repeated size is the same partition at a larger
+                    # threshold, whose key is larger: keep the first only
+                    fresh = (sizes >= low) & (sizes <= high)
+                    fresh[1:] &= below[1:] != below[:-1]
+                    picks = np.flatnonzero(fresh)
+                    counts = le[picks] if smallest else parent_counts - le[picks]
+                    for j, c1 in zip(picks.tolist(), counts.tolist()):
+                        offer(tuple(c1), attr, rel, comparator, thresholds[j], alpha, z)
     return best_cand
 
 

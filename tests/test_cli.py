@@ -202,6 +202,19 @@ def test_usage_error_exits_1(tmp_path, capsys):
     for spec in ("<=,=", "eq"):  # thresholds fall between observed values
         assert main(["train", "--data", data, "--comparators", spec]) == 1
         assert "never holds on the training data" in capsys.readouterr().err
+    # out-of-range options are refused by LearnerConfig and reported as usage
+    for option, reason in (
+        (["--alpha", "2"], "alpha must lie in (0, 1]"),
+        (["--alpha", "0"], "alpha must lie in (0, 1]"),
+        (["--min-leaf", "0"], "min_leaf_size must be >= 1"),
+        (["--max-z", "-1"], "max_derivative must be >= 0"),
+    ):
+        assert main(["train", "--data", data, *option]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and reason in err
+    # options are checked before the data is read
+    assert main(["train", "--data", "/nonexistent.csv", "--comparators", "="]) == 1
+    assert "never holds on the training data" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

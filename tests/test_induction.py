@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +68,9 @@ def test_candidate_thresholds_examples():
     assert candidate_thresholds([5.0, 5.0, 5.0], 100) == []
     with pytest.raises(ValueError):
         candidate_thresholds([], 100)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            candidate_thresholds([1.0, bad, 2.0], 100)
 
 
 def test_candidate_thresholds_cap(rng):
@@ -174,11 +180,50 @@ def _ten_point_node(reference, relation, alpha):
     return instances, config
 
 
+def _empty_span_node(comparator):
+    """Three points on reference [1, 2]: the only A-successor, [2, 3], has
+    data at degrees 0 and 1 (where both classes look alike) but no point at
+    degree 2, where the classes would separate.  No split exists."""
+    rows = [([0, 0, 0], 0), ([0, 0, 0], 0), ([1, 0, 0], 1), ([1, 0, 0], 1)]
+    instances = [
+        Instance(np.array([row], dtype=np.float64), cls, reference=Interval(1, 2))
+        for row, cls in rows
+    ]
+    config = LearnerConfig(
+        max_derivative=2, relations=(Rel.A,), comparators=(comparator,), min_leaf_size=1
+    )
+    return instances, config
+
+
+def _tied_node():
+    """Integer values from the root: under A, ``<=`` and alpha 1 the critical
+    value is max(x1, x2), which is 1 for four series (three of class 0) and
+    2 for two; the best split keeps the four tied series together."""
+    rows = [([1, 0, 5], 0), ([0, 1, 3], 0), ([1, 1, 0], 0),
+            ([2, 0, 0], 1), ([0, 2, 1], 1), ([1, 0, 4], 1)]
+    instances = [Instance(np.array([row], dtype=np.float64), cls) for row, cls in rows]
+    config = LearnerConfig(alpha_grid=(0.5, 1.0), relations=(Rel.A, Rel.BI), min_leaf_size=1)
+    return instances, config
+
+
+def _adjacent_values_node():
+    """1.0 and the next float up: their midpoint rounds to 1.0, so the only
+    threshold equals an observed value, and ``1.0 <= 1.0`` must hold."""
+    above = float(np.nextafter(1.0, 2.0))
+    rows = [([1.0, 0, 0], 0), ([1.0, 0, 0], 0), ([above, 0, 0], 1), ([above, 0, 0], 1)]
+    instances = [Instance(np.array([row], dtype=np.float64), cls) for row, cls in rows]
+    return instances, LearnerConfig(relations=(Rel.A,), min_leaf_size=1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_nodes())
 @example(_ten_point_node(Interval(0, 10), Rel.EQ, 0.7))  # splits 2 / 2
 @example(_ten_point_node(Interval(0, 1), Rel.BI, 0.7))  # witness [0, 10]
 @example(_ten_point_node(Interval(0, 1), Rel.BI, 0.75))  # no split
+@example(_empty_span_node(Comparator.LE))  # no split
+@example(_empty_span_node(Comparator.GT))  # no split
+@example(_tied_node())  # splits 4 / 2 at 1.5
+@example(_adjacent_values_node())  # splits 2 / 2 at 1.0
 def test_best_split_matches_exhaustive_enumeration_property(node):
     instances, config = node
     got = best_split(instances, config)
@@ -190,6 +235,36 @@ def test_best_split_matches_exhaustive_enumeration_property(node):
     key = (got.split_info, d.attribute_index, d.relation.rank, d.comparator.rank,
            d.threshold, d.alpha, d.derivative_degree)
     assert (key, got.partition_sizes) == want
+
+
+def test_best_split_keeps_no_memory_between_calls():
+    """Live memory after 50 searches on one node stays within 256 B per call
+    of what it was after 5 warm-up searches.  Before each reading, a full
+    collection and a cleared type cache release what CPython keeps on its
+    own: free lists, and the attribute names numpy's C code creates afresh
+    on some method calls, which the type cache holds (bounded, not leaked)."""
+    rng = np.random.default_rng(11)
+    instances = [
+        Instance(np.round(rng.normal(size=(2, 12)), 1), i % 3) for i in range(24)
+    ]
+    config = LearnerConfig(alpha_grid=(0.6, 0.9))
+
+    def live_bytes():
+        gc.collect()
+        sys._clear_type_cache()
+        return tracemalloc.get_traced_memory()[0]
+
+    for _ in range(5):
+        best_split(instances, config)
+    tracemalloc.start()
+    try:
+        before = live_bytes()
+        for _ in range(50):
+            best_split(instances, config)
+        growth = live_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert growth / 50 < 256
 
 
 def test_grow_tree_single_class_is_leaf():
