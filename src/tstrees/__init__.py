@@ -2,7 +2,8 @@
 
 The learner grows binary trees whose node conditions quantify over Allen
 interval relations of raw series, with distance-based and feature-based
-baselines and a small evaluation harness beside it.
+baselines and a small evaluation harness beside it.  Data files load with
+``load_dataset(path, "uea")`` or ``load_dataset(path, "semicolon")``.
 """
 
 from .core import (
@@ -56,7 +57,6 @@ from .baselines import (
     nn_classify,
 )
 from .dataio import (
-    DatasetSource,
     load_dataset,
     parse_semicolon_table,
     parse_uea_sequence,

@@ -10,8 +10,9 @@ import argparse
 import sys
 import traceback
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .baselines import DISTANCE_METRICS, FeatureMask, feature_table, nn_classify
 from .core import (
@@ -24,12 +25,7 @@ from .core import (
     LearnerConfig,
     TemporalDataset,
 )
-from .dataio import (
-    DatasetSource,
-    load_dataset,
-    resample_split,
-    trim,
-)
+from .dataio import load_dataset, resample_split, trim
 from .evaluation import (
     accuracy,
     class_report,
@@ -134,21 +130,17 @@ def _parse_comparators(spec: str) -> tuple[Comparator, ...]:
     return tuple(sorted(out, key=lambda c: c.rank))
 
 
-def _detect_format(path: Path, declared: str) -> str:
-    if declared != "auto":
-        return {"semicolon": "semicolon_table", "uea": "uea_sequence"}[declared]
-    return "uea_sequence" if path.suffix.lower() == ".ts" else "semicolon_table"
-
-
 def _load(path_text: str, fmt: str, class_column) -> TemporalDataset:
     path = Path(path_text)
     if not path.exists():
         raise DataFormatError(f"no such file: {path}")
+    if fmt == "auto":
+        fmt = "uea" if path.suffix.lower() == ".ts" else "semicolon"
     column = class_column
     if isinstance(column, str) and column.isdigit():
         column = int(column)
     try:
-        return load_dataset(DatasetSource(_detect_format(path, fmt), path, column))
+        return load_dataset(path, fmt, column)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -299,62 +291,89 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def run_method(method: str, train: TemporalDataset, test: TemporalDataset) -> float:
-    """Train one comparison method and return its test accuracy."""
-    if method.startswith("tj48"):
-        _, _, spec = method.partition(":")
-        grid = _parse_alpha_spec([spec]) if spec else (1.0,)
-        tree = grow_tree(train, LearnerConfig(alpha_grid=grid))
-        return accuracy(confusion(tree, test))
+_Runner = Callable[[TemporalDataset, TemporalDataset], float]
+
+
+def _tj48_accuracy(config: LearnerConfig, train: TemporalDataset, test: TemporalDataset) -> float:
+    return accuracy(confusion(grow_tree(train, config), test))
+
+
+def _nn_accuracy(metric: str, train: TemporalDataset, test: TemporalDataset) -> float:
+    q = train.class_count
+    rows = [[0] * q for _ in range(q)]
+    for inst in test.instances:
+        pred = nn_classify(train, inst, metric)
+        rows[pred][inst.class_index] += 1
+    return accuracy(ConfusionMatrix.from_rows(rows))
+
+
+def _j48_accuracy(mask: FeatureMask, train: TemporalDataset, test: TemporalDataset) -> float:
+    table, names = feature_table(train, mask)
+    labels = [inst.class_index for inst in train.instances]
+    tree = grow_static_tree(table, labels, LearnerConfig())
+    test_table, _ = feature_table(test, mask)
+    test_labels = [inst.class_index for inst in test.instances]
+    encoded = static_series_dataset(
+        test_table, test_labels, attribute_names=names, class_names=train.class_names
+    )
+    return accuracy(confusion(tree, encoded))
+
+
+def _parse_method(method: str) -> _Runner:
+    """Check one method token and return the function that trains it on a
+    training split and returns its accuracy on the test split."""
+    name, _, spec = method.partition(":")
+    try:
+        if name == "tj48":
+            grid = _parse_alpha_spec([spec]) if spec else (1.0,)
+            return partial(_tj48_accuracy, LearnerConfig(alpha_grid=grid))
+        if name == "j48":
+            mask = FeatureMask.from_bits(spec) if spec else FeatureMask(True, True, True, True)
+            return partial(_j48_accuracy, mask)
+    except ValueError as exc:  # an alpha or mask that LearnerConfig or FeatureMask refuses
+        raise UsageError(f"method {method!r}: {exc}") from exc
     if method in DISTANCE_METRICS:
-        q = train.class_count
-        rows = [[0] * q for _ in range(q)]
-        for inst in test.instances:
-            pred = nn_classify(train, inst, method)
-            rows[pred][inst.class_index] += 1
-        return accuracy(ConfusionMatrix.from_rows(rows))
-    if method.startswith("j48"):
-        _, _, bits = method.partition(":")
-        mask = FeatureMask.from_bits(bits) if bits else FeatureMask(True, True, True, True)
-        table, names = feature_table(train, mask)
-        labels = [inst.class_index for inst in train.instances]
-        tree = grow_static_tree(table, labels, LearnerConfig())
-        test_table, _ = feature_table(test, mask)
-        test_labels = [inst.class_index for inst in test.instances]
-        encoded = static_series_dataset(
-            test_table, test_labels, attribute_names=names, class_names=train.class_names
-        )
-        return accuracy(confusion(tree, encoded))
+        return partial(_nn_accuracy, method)
     raise UsageError(f"unknown method {method!r}")
 
 
-def _parse_methods(spec: str) -> list[str]:
-    methods = [token.strip() for token in spec.split(",") if token.strip()]
+def run_method(method: str, train: TemporalDataset, test: TemporalDataset) -> float:
+    """Train one comparison method and return its test accuracy."""
+    return _parse_method(method)(train, test)
+
+
+def _race_plan(args) -> list[tuple[str, _Runner]]:
+    """Check the split options and method tokens of ``compare`` and ``bench``
+    before any data is read; one (token, runner) pair per method, in order."""
+    if args.max_len < 0 or args.max_len == 1:
+        raise UsageError(f"--max-len must be 0 (no trimming) or at least 2, got {args.max_len}")
+    if not 0.0 < args.train_fraction < 1.0:
+        raise UsageError(
+            f"--train-fraction must lie strictly between 0 and 1, got {args.train_fraction}"
+        )
+    methods = [token.strip() for token in args.methods.split(",") if token.strip()]
     if not methods:
         raise UsageError("no methods given")
-    return methods
+    return [(method, _parse_method(method)) for method in methods]
 
 
-def _prepare_split(dataset, args):
-    trimmed = trim(dataset, args.max_len) if args.max_len else dataset
-    return resample_split(trimmed, args.train_fraction, args.seed)
-
-
-def _race(datasets, methods: list[str], args) -> list[tuple[str, str, str, float]]:
-    """Run every method on a resampled split of each (name, dataset) pair, in
-    order; one (name, method, "accuracy", value) record per run."""
+def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
+    """Run every planned method on a resampled split of each (name, dataset)
+    pair, in order; one (name, method, "accuracy", value) record per run."""
     records = []
     for name, dataset in datasets:
-        train, test = _prepare_split(dataset, args)
-        for method in methods:
-            records.append((name, method, "accuracy", run_method(method, train, test)))
+        trimmed = trim(dataset, args.max_len) if args.max_len else dataset
+        train, test = resample_split(trimmed, args.train_fraction, args.seed)
+        for method, run in plan:
+            records.append((name, method, "accuracy", run(train, test)))
     return records
 
 
 def _cmd_compare(args) -> int:
+    plan = _race_plan(args)
     label = Path(args.data).stem
     dataset = _load(args.data, args.format, args.class_column)
-    records = _race([(label, dataset)], _parse_methods(args.methods), args)
+    records = _race([(label, dataset)], plan, args)
     sys.stdout.write(compare_report([(m, a) for _, m, _, a in records], title=label))
     if args.report:
         Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
@@ -402,18 +421,19 @@ def _load_merged(paths: list[Path], fmt: str, class_column) -> TemporalDataset:
 
 
 def _cmd_bench(args) -> int:
+    plan = _race_plan(args)
     data_dir = Path(args.data_dir)
     if not data_dir.is_dir():
         raise DataFormatError(f"no such directory: {data_dir}")
     datasets = _discover_datasets(data_dir)
     if not datasets:
         raise DataFormatError(f"no data files found under {data_dir}")
-    methods = _parse_methods(args.methods)
     loaded = (
         (name, _load_merged(paths, args.format, args.class_column)) for name, paths in datasets
     )
-    records = _race(loaded, methods, args)
+    records = _race(loaded, plan, args)
     cells = {(method, name): acc for name, method, _, acc in records}
+    methods = [method for method, _ in plan]
     sys.stdout.write(grid_report(methods, [name for name, _ in datasets], cells))
     if args.report:
         Path(args.report).write_text(metrics_lines(records), encoding="utf-8")

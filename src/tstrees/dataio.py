@@ -9,6 +9,10 @@ Two text formats are supported:
   per line with channels separated by ``:``, values by ``,`` and the class
   label last.
 
+Each parser only splits its text into ``(label, cells, where)`` cases; one
+builder turns the cases into instances and owns every rule the formats
+share.
+
 Preprocessing covers series trimming and the seeded, stratified train/test
 resampling used by the comparison harness.
 """
@@ -20,32 +24,83 @@ import io
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .core import DataFormatError, Instance, TemporalDataset
 
 
-@dataclass(frozen=True)
-class DatasetSource:
-    """Where a dataset comes from and how to read it."""
+def _build_dataset(
+    cases: Iterable[tuple[str, list[str], str]],
+    sep: str,
+    cell_name: Callable[[int], str],
+    attribute_names: Optional[list[str]],
+    empty: str,
+) -> TemporalDataset:
+    """Build a dataset from ``(label, cells, where)`` cases, each cell one
+    channel of ``sep``-separated float literals.
 
-    format: str  # "semicolon_table" | "uea_sequence"
-    path: Path
-    class_column: Union[str, int, None] = None
+    Every case needs a label, the first case's channel count and series
+    length (at least 2), and finite values.  Labels become class indices in
+    first-appearance order.  Errors name a case by ``where`` and a cell by
+    ``cell_name(channel)``; ``empty`` is the error for no cases at all.
+    """
+    labels: dict[str, int] = {}
+    instances: list[Instance] = []
+    width: Optional[int] = None
+    length: Optional[int] = None
+    for label, cells, where in cases:
+        if not label:
+            raise DataFormatError(f"{where}: missing class label")
+        if width is None:
+            width = len(cells)
+        if len(cells) != width:
+            raise DataFormatError(f"{where}: {len(cells)} channels, expected {width}")
+        rows = []
+        for c, cell in enumerate(cells):
+            try:
+                values = list(map(float, filter(str.strip, cell.split(sep))))
+            except ValueError:
+                raise _cell_error(cell, sep, f"{where}, {cell_name(c)}") from None
+            if not values:
+                raise DataFormatError(f"{where}, {cell_name(c)}: empty cell")
+            if length is None:
+                length = len(values)
+                if length < 2:
+                    raise DataFormatError(f"{where}: series length 1, need at least 2")
+            if len(values) != length:
+                raise DataFormatError(
+                    f"{where}, {cell_name(c)}: {len(values)} values, expected {length}"
+                )
+            rows.append(values)
+        channels = np.array(rows)
+        if not np.isfinite(channels).all():
+            c = int(np.isfinite(channels).all(axis=1).argmin())
+            raise _cell_error(cells[c], sep, f"{where}, {cell_name(c)}")
+        instances.append(Instance(channels, labels.setdefault(label, len(labels))))
+    if not instances:
+        raise DataFormatError(empty)
+    return TemporalDataset(
+        instances=instances,
+        attribute_names=attribute_names or [f"var{j}" for j in range(width)],
+        class_names=list(labels),
+        series_length=length,
+    )
 
 
-def _parse_float(token: str, where: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise DataFormatError(f"non-numeric value {token!r} at {where}") from None
-    if not math.isfinite(value):
-        raise DataFormatError(f"non-finite value {token!r} at {where}")
-    return value
+def _cell_error(cell: str, sep: str, where: str) -> DataFormatError:
+    """The error for the first token of ``cell`` that is not a finite float."""
+    for token in filter(str.strip, cell.split(sep)):
+        try:
+            value = float(token)
+        except ValueError:
+            return DataFormatError(f"non-numeric value {token.strip()!r} at {where}")
+        if not math.isfinite(value):
+            return DataFormatError(f"non-finite value {token.strip()!r} at {where}")
+    raise AssertionError(f"{where}: no bad token")
 
 
 def parse_semicolon_table(content: str, class_column: Union[str, int, None] = None) -> TemporalDataset:
@@ -53,16 +108,12 @@ def parse_semicolon_table(content: str, class_column: Union[str, int, None] = No
 
     ``class_column`` may be a header name, a column index, or None, in which
     case a column named ``C`` is used if present and the last column
-    otherwise.  Class labels map to indices in first-appearance order.
+    otherwise.  Rows are numbered from 1 at the header, skipping blank rows.
     """
-    reader = csv.reader(io.StringIO(content))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
+    rows = (row for row in csv.reader(io.StringIO(content)) if any(cell.strip() for cell in row))
+    header = [cell.strip() for cell in next(rows, [])]
+    if not header:
         raise DataFormatError("empty table: no header row")
-    header = [cell.strip() for cell in rows[0]]
-    data_rows = rows[1:]
-    if not data_rows:
-        raise DataFormatError("empty table: header but no data rows")
 
     if class_column is None:
         class_idx = header.index("C") if "C" in header else len(header) - 1
@@ -79,50 +130,21 @@ def parse_semicolon_table(content: str, class_column: Union[str, int, None] = No
     if not attr_names:
         raise DataFormatError("table has a class column but no attributes")
 
-    label_to_index: dict[str, int] = {}
-    class_names: list[str] = []
-    instances: list[Instance] = []
-    series_length: Optional[int] = None
-
-    for r, row in enumerate(data_rows, start=2):
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"row {r}: expected {len(header)} columns, found {len(row)}"
-            )
-        label = row[class_idx].strip()
-        if not label:
-            raise DataFormatError(f"row {r}: missing class label")
-        if label not in label_to_index:
-            label_to_index[label] = len(class_names)
-            class_names.append(label)
-        channels: list[list[float]] = []
-        for c, cell in enumerate(row):
-            if c == class_idx:
-                continue
-            tokens = [t for t in cell.strip().split(";") if t != ""]
-            if not tokens:
-                raise DataFormatError(f"row {r}, column {header[c]!r}: empty cell")
-            values = [
-                _parse_float(t, f"row {r}, column {header[c]!r}") for t in tokens
-            ]
-            if series_length is None:
-                series_length = len(values)
-            if len(values) != series_length:
+    def cases():
+        for r, row in enumerate(rows, start=2):
+            if len(row) != len(header):
                 raise DataFormatError(
-                    f"row {r}, column {header[c]!r}: cell has {len(values)} values, "
-                    f"expected {series_length}"
+                    f"row {r}: expected {len(header)} columns, found {len(row)}"
                 )
-            channels.append(values)
-        instances.append(
-            Instance(channels=np.array(channels), class_index=label_to_index[label])
-        )
+            label = row.pop(class_idx).strip()
+            yield label, row, f"row {r}"
 
-    assert series_length is not None
-    return TemporalDataset(
-        instances=instances,
-        attribute_names=attr_names,
-        class_names=class_names,
-        series_length=series_length,
+    return _build_dataset(
+        cases(),
+        ";",
+        lambda c: f"column {attr_names[c]!r}",
+        attr_names,
+        "empty table: header but no data rows",
     )
 
 
@@ -148,82 +170,35 @@ def serialize_semicolon_table(dataset: TemporalDataset, class_column: str = "C")
 def parse_uea_sequence(content: str) -> TemporalDataset:
     """Parse a UEA-style plain-text sequence file.
 
-    Metadata lines (starting with ``@``) and comments (``#``) are skipped;
-    when an ``@data`` marker is present only lines after it count as cases.
+    Blank lines, metadata lines (starting with ``@``) and comments (``#``)
+    are skipped; every other line is a case.  Channels are named ``var0``,
+    ``var1``, ... and located in errors by their 0-based index.
     """
-    lines = content.splitlines()
-    data_lines: list[tuple[int, str]] = []
-    saw_data_tag = False
-    in_data = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("@"):
-            if line.lower() == "@data":
-                saw_data_tag = True
-                in_data = True
-            continue
-        if in_data or not saw_data_tag:
-            data_lines.append((lineno, line))
-    if not data_lines:
-        raise DataFormatError("no data lines found")
 
-    label_to_index: dict[str, int] = {}
-    class_names: list[str] = []
-    instances: list[Instance] = []
-    n_channels: Optional[int] = None
-    series_length: Optional[int] = None
+    def cases():
+        for lineno, raw in enumerate(content.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] in "#@":
+                continue
+            *cells, label = line.split(":")
+            if not cells:
+                raise DataFormatError(f"line {lineno}: expected channels and a class label")
+            yield label.strip(), cells, f"line {lineno}"
 
-    for lineno, line in data_lines:
-        parts = [p.strip() for p in line.split(":")]
-        if len(parts) < 2:
-            raise DataFormatError(f"line {lineno}: expected channels and a class label")
-        label = parts[-1]
-        channel_parts = parts[:-1]
-        if n_channels is None:
-            n_channels = len(channel_parts)
-        if len(channel_parts) != n_channels:
-            raise DataFormatError(
-                f"line {lineno}: {len(channel_parts)} channels, expected {n_channels}"
-            )
-        channels: list[list[float]] = []
-        for ci, part in enumerate(channel_parts):
-            tokens = [t for t in part.split(",") if t.strip() != ""]
-            if not tokens:
-                raise DataFormatError(f"line {lineno}: channel {ci} is empty")
-            values = [_parse_float(t, f"line {lineno}, channel {ci}") for t in tokens]
-            if series_length is None:
-                series_length = len(values)
-            if len(values) != series_length:
-                raise DataFormatError(
-                    f"line {lineno}, channel {ci}: {len(values)} values, "
-                    f"expected {series_length}"
-                )
-            channels.append(values)
-        if label not in label_to_index:
-            label_to_index[label] = len(class_names)
-            class_names.append(label)
-        instances.append(
-            Instance(channels=np.array(channels), class_index=label_to_index[label])
-        )
-
-    assert n_channels is not None and series_length is not None
-    return TemporalDataset(
-        instances=instances,
-        attribute_names=[f"var{j}" for j in range(n_channels)],
-        class_names=class_names,
-        series_length=series_length,
-    )
+    return _build_dataset(cases(), ",", "channel {}".format, None, "no data lines found")
 
 
-def load_dataset(source: DatasetSource) -> TemporalDataset:
-    content = Path(source.path).read_text(encoding="utf-8")
-    if source.format == "semicolon_table":
-        return parse_semicolon_table(content, source.class_column)
-    if source.format == "uea_sequence":
+def load_dataset(
+    path: Union[str, Path], fmt: str, class_column: Union[str, int, None] = None
+) -> TemporalDataset:
+    """Read ``path`` as a ``"semicolon"`` table or a ``"uea"`` sequence file;
+    ``class_column`` applies to the semicolon table only."""
+    content = Path(path).read_text(encoding="utf-8")
+    if fmt == "semicolon":
+        return parse_semicolon_table(content, class_column)
+    if fmt == "uea":
         return parse_uea_sequence(content)
-    raise DataFormatError(f"unknown dataset format {source.format!r}")
+    raise DataFormatError(f"unknown dataset format {fmt!r}")
 
 
 def trim(dataset: TemporalDataset, max_len: int) -> TemporalDataset:

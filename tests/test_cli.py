@@ -215,6 +215,28 @@ def test_usage_error_exits_1(tmp_path, capsys):
     # options are checked before the data is read
     assert main(["train", "--data", "/nonexistent.csv", "--comparators", "="]) == 1
     assert "never holds on the training data" in capsys.readouterr().err
+    # compare and bench check every split option and method token first
+    for option, reason in (
+        (["--max-len", "1"], "--max-len must be 0 (no trimming) or at least 2, got 1"),
+        (["--max-len", "-3"], "--max-len must be 0 (no trimming) or at least 2, got -3"),
+        (["--train-fraction", "1.5"], "--train-fraction must lie strictly between 0 and 1"),
+        (["--train-fraction", "0"], "--train-fraction must lie strictly between 0 and 1"),
+        (["--train-fraction", "1"], "--train-fraction must lie strictly between 0 and 1"),
+        (["--methods", "tj48:abc"], "method 'tj48:abc': could not convert string to float"),
+        (["--methods", "tj48:2"], "method 'tj48:2': every alpha must lie in (0, 1]"),
+        (["--methods", "j48:11"], "method 'j48:11': feature mask must be four 0/1 bits"),
+        (["--methods", "j48:0000"], "method 'j48:0000': a feature mask needs at least one bit"),
+        (["--methods", "ed-i,bogus"], "unknown method 'bogus'"),
+    ):
+        for command in (
+            ["compare", "--data", data],
+            ["compare", "--data", "/nonexistent.ts"],
+            ["bench", "--data-dir", str(tmp_path)],
+            ["bench", "--data-dir", "/nonexistent"],
+        ):
+            assert main([*command, *option]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage error: ") and reason in err
 
 
 def test_missing_file_exits_2(capsys):

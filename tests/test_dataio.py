@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tstrees.core import DataFormatError, Instance, TemporalDataset
 from tstrees.dataio import (
+    load_dataset,
     parse_semicolon_table,
     parse_uea_sequence,
     resample_split,
@@ -53,6 +55,18 @@ def test_parse_semicolon_table_errors():
     for token in ("nan", "inf", "-inf"):
         with pytest.raises(DataFormatError, match="non-finite.*row 3, column 'B'"):
             parse_semicolon_table(f"A,B,C\n1;2,3;4,x\n5;6,7;{token},y\n")
+    for content, message in (
+        ("A1,C\n1;2;3,C1\n1;2\n", "row 3: expected 2 columns, found 1"),
+        ("A1,A2,C\n1;2,,C1\n", "row 2, column 'A2': empty cell"),
+        ("A1,A2,C\n1;2, ; ,C1\n", "row 2, column 'A2': empty cell"),
+        ("A1,C\n1;2;3,\n", "row 2: missing class label"),
+        ("A1,C\n1;2;3,C1\n1;2,C2\n", "row 3, column 'A1': 2 values, expected 3"),
+        ("A1,C\n1,C1\n2,C2\n", "row 2: series length 1, need at least 2"),
+        ("A1,C\n1;2;3,C1\n4; x ;6,C2\n", "non-numeric value 'x' at row 3, column 'A1'"),
+    ):
+        with pytest.raises(DataFormatError) as info:
+            parse_semicolon_table(content)
+        assert str(info.value) == message
 
 
 def test_semicolon_round_trip(rng):
@@ -71,6 +85,57 @@ def test_semicolon_round_trip(rng):
     for a, b in zip(raw.instances, ds.instances):
         assert np.array_equal(a.channels, b.channels)
         assert raw.class_names[a.class_index] == ds.class_names[b.class_index]
+
+
+_EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def _cases_as_text(draw):
+    """A random finite dataset, with its cases as `.ts` lines that put
+    spaces around some values."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3))
+    length = draw(st.integers(2, 6))
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_VALUES)
+    )
+    pads = st.sampled_from(("", " ", "  "))
+    labels, channels, lines = [], [], []
+    for _ in range(m):
+        label = draw(st.sampled_from(("a", "b", "Walk", "Run_2")))
+        rows = [[draw(values) for _ in range(length)] for _ in range(n)]
+        cells = [",".join(f"{draw(pads)}{v!r}{draw(pads)}" for v in row) for row in rows]
+        labels.append(label)
+        channels.append(rows)
+        lines.append(":".join(cells) + ":" + label)
+    class_names = list(dict.fromkeys(labels))
+    source = TemporalDataset(
+        [Instance(np.array(rows), class_names.index(label)) for rows, label in zip(channels, labels)],
+        [f"var{j}" for j in range(n)],
+        class_names,
+        length,
+    )
+    return source, "@problemName drawn\n@data\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases_as_text())
+def test_both_formats_parse_to_the_same_dataset(drawn):
+    source, ts_text = drawn
+    for parsed in (
+        parse_semicolon_table(serialize_semicolon_table(source)),
+        parse_uea_sequence(ts_text),
+    ):
+        assert parsed.attribute_names == source.attribute_names
+        assert parsed.class_names == source.class_names
+        assert parsed.series_length == source.series_length
+        assert [i.class_index for i in parsed.instances] == [
+            i.class_index for i in source.instances
+        ]
+        assert [i.channels.tobytes() for i in parsed.instances] == [
+            i.channels.tobytes() for i in source.instances
+        ]
 
 
 UEA_CONTENT = """\
@@ -96,6 +161,17 @@ def test_parse_uea_single_case():
     assert ds.size == 1 and ds.attribute_count == 2 and ds.series_length == 4
 
 
+def test_load_dataset_reads_each_format(tmp_path):
+    (tmp_path / "data.ts").write_text(UEA_CONTENT, encoding="utf-8")
+    (tmp_path / "data.csv").write_text(SIMPLE_TABLE, encoding="utf-8")
+    uea = load_dataset(tmp_path / "data.ts", "uea")
+    assert uea.class_names == ["a", "b"] and uea.series_length == 4
+    table = load_dataset(str(tmp_path / "data.csv"), "semicolon", class_column="C")
+    assert table.class_names == ["C1", "C2"] and table.series_length == 3
+    with pytest.raises(DataFormatError, match="unknown dataset format 'arff'"):
+        load_dataset(tmp_path / "data.csv", "arff")
+
+
 def test_parse_uea_errors():
     with pytest.raises(DataFormatError):
         parse_uea_sequence("@data\n")
@@ -108,6 +184,18 @@ def test_parse_uea_errors():
     for token in ("nan", "inf", "-inf"):
         with pytest.raises(DataFormatError, match="non-finite.*line 2, channel 1"):
             parse_uea_sequence(f"1,2:3,4:a\n5,6:{token},8:b\n")
+    for content, message in (
+        ("1,2:a\n3,4\n", "line 2: expected channels and a class label"),
+        ("1,2: :a\n", "line 1, channel 1: empty cell"),
+        ("1,2:3,4:a\n1,2:b\n", "line 2: 1 channels, expected 2"),
+        ("1,2:a\n1,2,3:b\n", "line 2, channel 0: 3 values, expected 2"),
+        ("1,2:\n", "line 1: missing class label"),
+        ("1:a\n", "line 1: series length 1, need at least 2"),
+        ("1, x ,3:a\n", "non-numeric value 'x' at line 1, channel 0"),
+    ):
+        with pytest.raises(DataFormatError) as info:
+            parse_uea_sequence(content)
+        assert str(info.value) == message
 
 
 def test_trim():
