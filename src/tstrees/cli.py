@@ -363,7 +363,17 @@ def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
     records = []
     for name, dataset in datasets:
         trimmed = trim(dataset, args.max_len) if args.max_len else dataset
+        if trimmed.size < 2:
+            raise DataFormatError(
+                f"{name}: {trimmed.size} case, need at least two to split into training and test sets"
+            )
         train, test = resample_split(trimmed, args.train_fraction, args.seed)
+        for side, part in (("training", train), ("test", test)):
+            if not part.instances:
+                raise DataFormatError(
+                    f"{name}: a training fraction of {args.train_fraction} leaves the {side} "
+                    f"side of {trimmed.size} cases empty"
+                )
         for method, run in plan:
             records.append((name, method, "accuracy", run(train, test)))
     return records

@@ -245,6 +245,31 @@ def test_missing_file_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.filterwarnings("ignore:class .* falling back to unstratified assignment")
+def test_compare_and_bench_refuse_too_few_cases_exits_2(tmp_path, capsys):
+    # one case cannot be split; two or three leave the 80 % split's test side empty
+    for count, reason in (
+        (1, "1 case, need at least two to split"),
+        (2, "leaves the test side of 2 cases empty"),
+        (3, "leaves the test side of 3 cases empty"),
+    ):
+        folder = tmp_path / f"tiny{count}"
+        folder.mkdir()
+        path = folder / "tiny.ts"
+        path.write_text(
+            "".join(f"{i}.0,{i + 1}.0,{i + 2}.0:{'ab'[i % 2]}\n" for i in range(count)),
+            encoding="utf-8",
+        )
+        for command in (
+            ["compare", "--data", str(path), "--methods", "ed-i"],
+            ["bench", "--data-dir", str(folder), "--methods", "ed-i,tj48"],
+        ):
+            assert main(command) == 2, (count, command)
+            out, err = capsys.readouterr()
+            assert out == "", (count, command)
+            assert "data error: tiny: " in err and reason in err, (count, err)
+
+
 def test_compare_rows_mirror_method_ladder(tmp_path, capsys):
     ds = separable_dataset(m=14, length=5)
     data = write_dataset(tmp_path, ds)
