@@ -55,6 +55,7 @@ from .baselines import (
     extract_features,
     feature_table,
     nn_classify,
+    nn_predict,
 )
 from .dataio import (
     load_dataset,

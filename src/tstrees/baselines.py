@@ -92,86 +92,126 @@ def _check_dims(a: Instance, b: Instance) -> None:
         )
 
 
-def _channel_rows(instances: Sequence[Instance]) -> list[np.ndarray]:
-    """One (r, n) array per channel, row k holding instance k's series."""
-    return [
-        np.stack([inst.channels[ch] for inst in instances])
-        for ch in range(instances[0].channel_count)
-    ]
+#: Cells per rolling buffer of one DTW pass.  A pass scores a block of
+#: (query, training series) columns; the block is as wide as this cap allows
+#: at n + 1 rows, so long series run fewer columns per pass.  At 30 points
+#: this is 396 columns (96 KiB per buffer).  On the racket-compare benchmark
+#: half the cap ran about 20 % slower, and twice the cap about 5 % faster for
+#: about 0.45 MiB more peak RSS.
+_PASS_CELLS = 12_288
 
 
-def _euclidean_batch(rows: Sequence[np.ndarray], query: np.ndarray) -> np.ndarray:
-    """Independent Euclidean distance from each of r series to one query:
-    per channel the pointwise Euclidean distance, then the (r, c) table of
-    those summed along each row."""
-    per_channel = np.empty((rows[0].shape[0], len(rows)))
-    for ch, series in enumerate(rows):
-        diff = series - query[ch]
-        per_channel[:, ch] = np.sqrt((diff**2).sum(axis=1))
-    return per_channel.sum(axis=1)
+def _stack(instances: Sequence[Instance]) -> np.ndarray:
+    """The (r, c, n) array of r instances' channels."""
+    return np.stack([inst.channels for inst in instances])
 
 
-def _diagonal_cost(rows: Sequence[np.ndarray], query: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
-    """Local costs of the cells (i, k - i), i = lo..hi (1-based), of every
-    row: squared differences summed over the channels in channel order."""
-    cost = None
-    for series, q in zip(rows, query):
-        # j - 1 = k - i - 1 falls as i rises, so the query slice is reversed
-        diff = series[:, lo - 1 : hi] - q[k - hi - 1 : k - lo][::-1]
+def _euclidean(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Independent Euclidean distances of g (c, n) queries to r (c, n)
+    series, both stacked instance-major: per channel the pointwise Euclidean
+    distance, then each (query, series) pair's c values summed in channel
+    order.  Returns the (g, r) table."""
+    out = np.empty((queries.shape[0], train.shape[0]))
+    for row, query in zip(out, queries):
+        diff = train - query
         np.multiply(diff, diff, out=diff)
-        if cost is None:
-            cost = diff
-        else:
-            cost += diff
-    return cost
+        row[:] = np.sqrt(diff.sum(axis=2)).sum(axis=1)
+    return out
 
 
-def _dtw_batch(rows: Sequence[np.ndarray], query: np.ndarray) -> np.ndarray:
-    """Unconstrained DTW from each of r series to one query, in one pass.
+def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """DTW of every column of one pass: ``train`` is (n, c, 1, r) and
+    ``queries`` (m, c, b, 1), both time-major, and column (q, s) pairs query
+    q with series s.  The local cost of (i, j) is the squared difference
+    between step i of a series and step j of a query, summed over the
+    channels in channel order.
 
-    ``rows`` holds one (r, n) array per channel and ``query`` is (c, m) with
-    its channels in the same order; the local cost of (i, j) is the squared
-    Euclidean distance between column i of a row and column j of the query.
     The accumulated-cost table D is filled one anti-diagonal i + j = k at a
     time: a cell's predecessors (i-1, j), (i, j-1) and (i-1, j-1) lie on
-    diagonals k-1 and k-2, so three rolling (r, n + 1) buffers indexed by i
-    suffice.  Index 0 and the cells a diagonal does not cover stay inf, which
-    is D's boundary.  Returns the r values D[n, m].
+    diagonals k-1 and k-2, so three rolling (n + 1, b, r) buffers indexed by
+    i suffice, and diagonal k is their contiguous slice [lo : hi + 1].
+    Index 0 and the cells a diagonal does not cover stay inf, which is D's
+    boundary.  Returns the (b, r) values D[n, m].
     """
-    r, n = rows[0].shape
-    m = query.shape[1]
-    back2 = np.full((r, n + 1), np.inf)  # diagonal k - 2
-    back1 = np.full((r, n + 1), np.inf)  # diagonal k - 1
-    cur = np.full((r, n + 1), np.inf)
-    # diagonal 2 is D[1, 1] = cost(1, 1) + D[0, 0], and D[0, 0] = 0
-    back1[:, 1:2] = _diagonal_cost(rows, query, 2, 1, 1)
-    for k in range(3, n + m + 1):
+    n, c = train.shape[:2]
+    m, _, b = queries.shape[:3]
+    shape = (n + 1, b, train.shape[3])
+    back2 = np.full(shape, np.inf)  # diagonal k - 2
+    back1 = np.full(shape, np.inf)  # diagonal k - 1
+    cur = np.full(shape, np.inf)
+    cost = np.empty((n,) + shape[1:])
+    extra = np.empty_like(cost) if c > 1 else None
+    back2[0] = 0.0  # diagonal 0 is D[0, 0] = 0, the start of every warp
+    for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
-        best = np.minimum(back1[:, lo - 1 : hi], back1[:, lo : hi + 1])
-        np.minimum(best, back2[:, lo - 1 : hi], out=best)
-        np.add(_diagonal_cost(rows, query, k, lo, hi), best, out=cur[:, lo : hi + 1])
+        series = train[lo - 1 : hi]
+        # j - 1 = k - i - 1 falls as i rises, so the query slice is reversed
+        steps = queries[k - hi - 1 : k - lo][::-1]
+        diag = cost[: hi - lo + 1]
+        np.subtract(series[:, 0], steps[:, 0], out=diag)
+        np.multiply(diag, diag, out=diag)
+        for ch in range(1, c):
+            part = extra[: hi - lo + 1]
+            np.subtract(series[:, ch], steps[:, ch], out=part)
+            np.multiply(part, part, out=part)
+            np.add(diag, part, out=diag)
+        best = cur[lo : hi + 1]
+        np.minimum(back1[lo - 1 : hi], back1[lo : hi + 1], out=best)
+        np.minimum(best, back2[lo - 1 : hi], out=best)
+        np.add(diag, best, out=best)
+        if k == 2:
+            back2[0] = np.inf  # diagonal 0's buffer takes diagonal 3, where D[0, 3] = inf
         back2, back1, cur = back1, cur, back2
-    return back1[:, n]
+    return back1[n]
 
 
-def _distances(rows: Sequence[np.ndarray], query: np.ndarray, metric: str) -> np.ndarray:
-    """Distance of each of r series (``rows``, one (r, n) array per channel)
-    to the (c, m) query under one of :data:`DISTANCE_METRICS`."""
+def _dtw(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Unconstrained DTW from each of g queries, stacked time-major as
+    (m, c, g), to each of r series stacked as (n, c, r), with the local cost
+    summed over the c channels.  The (g, r) pairs are scored in passes of at
+    most :data:`_PASS_CELLS` cells per buffer.  Returns the (g, r) table."""
+    n, _, r = train.shape
+    g = queries.shape[2]
+    out = np.empty((g, r))
+    columns = max(1, _PASS_CELLS // (n + 1))
+    width = min(r, columns)  # training series per pass
+    depth = max(1, columns // width)  # queries per pass
+    for q0 in range(0, g, depth):
+        for s0 in range(0, r, width):
+            out[q0 : q0 + depth, s0 : s0 + width] = _dtw_pass(
+                train[:, :, None, s0 : s0 + width], queries[:, :, q0 : q0 + depth, None]
+            )
+    return out
+
+
+def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: str) -> np.ndarray:
+    """The (g, r) table of distances from each of g queries to each of r
+    training instances under one of :data:`DISTANCE_METRICS`.  Every
+    instance must have the shape of the first training instance."""
+    for inst in (*train, *queries):
+        _check_dims(train[0], inst)
+    if metric not in DISTANCE_METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {DISTANCE_METRICS}")
+    if not queries:
+        return np.empty((0, len(train)))
     if metric == "ed-i":
-        return _euclidean_batch(rows, query)
-    if metric == "dtw-i":
-        # one warp per channel, added in channel order
-        return sum(_dtw_batch([series], query[ch : ch + 1]) for ch, series in enumerate(rows))
+        return _euclidean(_stack(train), _stack(queries))
+    # time-major: one diagonal of a pass is a contiguous run of the buffers
+    series = _stack(train).transpose(2, 1, 0).copy()
+    steps = _stack(queries).transpose(2, 1, 0).copy()
     if metric == "dtw-d":
-        return _dtw_batch(rows, query)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {DISTANCE_METRICS}")
+        return _dtw(series, steps)
+    # dtw-i: one warp per channel, added in channel order
+    out = _dtw(series[:, :1], steps[:, :1])
+    for ch in range(1, series.shape[1]):
+        out += _dtw(series[:, ch : ch + 1], steps[:, ch : ch + 1])
+    return out
 
 
 def euclidean_i(a: Instance, b: Instance) -> float:
     """Independent Euclidean distance: the per-channel pointwise Euclidean
     distances, summed over channels."""
-    _check_dims(a, b)
-    return float(_distances(_channel_rows([a]), b.channels, "ed-i")[0])
+    return float(_distances([a], [b], "ed-i")[0, 0])
 
 
 def dtw(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
@@ -184,29 +224,31 @@ def dtw(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> flo
     sb = np.asarray(b, dtype=np.float64)
     if sa.size == 0 or sb.size == 0:
         raise ValueError("dtw requires non-empty sequences")
-    return float(_dtw_batch([sa[None, :]], sb[None, :])[0])
+    return float(_dtw(sa[:, None, None], sb[:, None, None])[0, 0])
 
 
 def dtw_i(a: Instance, b: Instance) -> float:
     """Independent DTW: one warp per channel, distances summed."""
-    _check_dims(a, b)
-    return float(_distances(_channel_rows([a]), b.channels, "dtw-i")[0])
+    return float(_distances([a], [b], "dtw-i")[0, 0])
 
 
 def dtw_d(a: Instance, b: Instance) -> float:
     """Dependent DTW: a single warp where the local cost at (i, j) is the
     squared Euclidean distance between the column vectors at times i and j."""
-    _check_dims(a, b)
-    return float(_distances(_channel_rows([a]), b.channels, "dtw-d")[0])
+    return float(_distances([a], [b], "dtw-d")[0, 0])
+
+
+def nn_predict(train: TemporalDataset, queries: Sequence[Instance], metric: str) -> list[int]:
+    """1-nearest-neighbour class of each query; ties go to the lowest
+    training index.  All queries are scored in one batch, after every query
+    and training instance has been checked to share one shape."""
+    if not train.instances:
+        raise ValueError("nearest neighbour needs a non-empty training set")
+    dist = _distances(train.instances, queries, metric)
+    # argmin returns the first minimum: the lowest index wins a tie
+    return [train.instances[idx].class_index for idx in np.argmin(dist, axis=1).tolist()]
 
 
 def nn_classify(train: TemporalDataset, query: Instance, metric: str) -> int:
-    """1-nearest-neighbour class of ``query``; ties go to the lowest training
-    index.  Every training series is scored against the query in one batch."""
-    if not train.instances:
-        raise ValueError("nearest neighbour needs a non-empty training set")
-    for inst in train.instances:
-        _check_dims(inst, query)
-    dist = _distances(_channel_rows(train.instances), query.channels, metric)
-    # argmin returns the first minimum: the lowest index wins a tie
-    return train.instances[int(np.argmin(dist))].class_index
+    """1-nearest-neighbour class of one query; see :func:`nn_predict`."""
+    return nn_predict(train, [query], metric)[0]

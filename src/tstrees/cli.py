@@ -10,11 +10,11 @@ import argparse
 import sys
 import traceback
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .baselines import DISTANCE_METRICS, FeatureMask, feature_table, nn_classify
+from .baselines import DISTANCE_METRICS, FeatureMask, feature_table, nn_predict
 from .core import (
     Comparator,
     ConfusionMatrix,
@@ -301,8 +301,7 @@ def _tj48_accuracy(config: LearnerConfig, train: TemporalDataset, test: Temporal
 def _nn_accuracy(metric: str, train: TemporalDataset, test: TemporalDataset) -> float:
     q = train.class_count
     rows = [[0] * q for _ in range(q)]
-    for inst in test.instances:
-        pred = nn_classify(train, inst, metric)
+    for pred, inst in zip(nn_predict(train, test.instances, metric), test.instances):
         rows[pred][inst.class_index] += 1
     return accuracy(ConfusionMatrix.from_rows(rows))
 
@@ -483,6 +482,7 @@ def _add_split_options(sub):
     sub.add_argument("--report", default=None, help="write a metric-per-line report file")
 
 
+@cache  # one parser per process: building it costs about 1 ms, and parsing keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tstrees", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

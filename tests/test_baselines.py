@@ -1,13 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tstrees import baselines
 from tstrees.baselines import (
     DISTANCE_METRICS,
     FeatureMask,
-    _channel_rows,
     _distances,
     dtw,
     dtw_d,
@@ -16,6 +17,7 @@ from tstrees.baselines import (
     extract_features,
     feature_table,
     nn_classify,
+    nn_predict,
 )
 from tstrees.core import Instance, TemporalDataset
 
@@ -152,6 +154,13 @@ def test_nn_classify_examples():
         nn_classify(TemporalDataset([], ["a0"], ["u"], 2), inst([1.0, 1.0]), "ed-i")
     with pytest.raises(ValueError):
         nn_classify(train, inst([1.0, 1.0]), "bogus")
+    for metric in DISTANCE_METRICS:
+        assert nn_predict(train, [], metric) == []
+        assert nn_predict(train, [inst([8.0, 9.0]), inst([1.0, 0.0]), inst([5.0, 4.0])], metric) == [2, 0, 1]
+        with pytest.raises(ValueError, match="non-empty training set"):
+            nn_predict(TemporalDataset([], ["a0"], ["u"], 2), [inst([1.0, 1.0])], metric)
+    with pytest.raises(ValueError, match="unknown metric"):
+        nn_predict(train, [inst([1.0, 1.0])], "bogus")
 
 
 def test_nn_tie_breaks_to_lowest_index():
@@ -263,52 +272,112 @@ _values = st.one_of(
 
 @st.composite
 def _batches(draw):
-    """r training series and one query of c channels and n points, plus two
-    univariate series of lengths n and m for the pairwise ``dtw``."""
+    """r training series and g queries of c channels and n points, two
+    univariate series of lengths n and m for the pairwise ``dtw``, and a cap
+    on the cells per DTW pass, mostly small enough to split the queries, the
+    training series or both over several passes."""
     r = draw(st.integers(1, 5))
+    g = draw(st.integers(1, 7))
     c = draw(st.integers(1, 3))
     n = draw(st.integers(2, 8))
     m = draw(st.integers(1, 8))
     series = st.lists(_values, min_size=c * n, max_size=c * n)
     train = [np.array(draw(series)).reshape(c, n) for _ in range(r)]
-    query = np.array(draw(series)).reshape(c, n)
+    queries = [np.array(draw(series)).reshape(c, n) for _ in range(g)]
     a = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
     b = np.array(draw(st.lists(_values, min_size=m, max_size=m)))
     classes = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
-    return train, query, a, b, classes
+    cells = draw(st.one_of(st.just(baselines._PASS_CELLS), st.integers(1, 9 * 5 * 7)))
+    return train, queries, a, b, classes, cells
+
+
+_tied = [np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 1e3]])] * 2
+# two-point series give three buffer rows, so at the real cap one pass holds
+# a third of it in columns; this training set is wider than that
+_wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS // 3 + 3, 2, 2)) * 0.5
 
 
 @settings(max_examples=300, deadline=None)
 @given(_batches())
-@example(([np.array([[2.0, 1e-3]])], np.array([[1e3, -5.0]]), np.array([7.0, 1.0]), np.array([3.0]), [0]))
+@example(([np.array([[2.0, 1e-3]])], [np.array([[1e3, -5.0]])], np.array([7.0, 1.0]), np.array([3.0]), [0], baselines._PASS_CELLS))
+# 3 + 1 queries per pass over one training series, then 5 series over
+# passes of 2 + 2 + 1 for each single query
 @example(
     (
-        [np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 1e3]])] * 2,
-        np.array([[3.0, 2.0, 1.0], [-1e-3, 0.0, 1.0]]),
+        [np.array([[0.0, 1.0, -2.0]])],
+        [np.array([[0.5, 1.0, 2.0]]), np.array([[1e3, 0.0, -1e3]]),
+         np.array([[-1.0, -1.0, 4.0]]), np.array([[0.0, 0.0, 1e-3]])],
+        np.array([1.0, 2.0, 3.0]),
+        np.array([0.0, 2.0]),
+        [2],
+        12,
+    )
+)
+@example(
+    (
+        [np.array([[float(s), 1.0 - s]]) for s in range(5)],
+        [np.array([[0.5, 1.0]])] * 3,
+        np.array([1.0, 2.0]),
+        np.array([0.0, 2.0, 5.0]),
+        [0, 1, 2, 0, 1],
+        6,
+    )
+)
+# tied duplicate training series of different classes: the first one wins
+@example(
+    (
+        _tied,
+        [np.array([[3.0, 2.0, 1.0], [-1e-3, 0.0, 1.0]]), np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 1e3]])],
         np.array([1e3, -1e3]),
         np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
         [1, 2],
+        baselines._PASS_CELLS,
+    )
+)
+@example(
+    (
+        [np.array([[9.0, 9.0, 9.0], [9.0, 9.0, 9.0]])] + _tied + [np.array([[5.0, 5.0, 5.0], [5.0, 5.0, 5.0]])],
+        [np.array([[1.0, 2.5, 3.0], [0.5, -1.0, 1e3]])] * 3,
+        np.array([1.0, 2.0, 4.0]),
+        np.array([2.0]),
+        [0, 2, 1, 0],
+        8,
+    )
+)
+@example(
+    (
+        list(_wide),
+        [np.array([[0.3, -1.2], [2.0, 0.1]]), np.array([[1.0, 1.0], [-1.5, 0.5]])],
+        np.array([1.0, -2.0]),
+        np.array([0.5, 0.0, 2.0]),
+        [k % 3 for k in range(len(_wide))],
+        baselines._PASS_CELLS,
     )
 )
 def test_batched_distances_equal_the_scalar_reference(batch):
-    train, query, a, b, classes = batch
-    c, n = query.shape
+    train, queries, a, b, classes, cells = batch
+    c, n = queries[0].shape
     instances = [Instance(x, cls) for x, cls in zip(train, classes)]
-    q = Instance(query, 0)
-    rows = _channel_rows(instances)
-    for metric, func in _REFERENCE.items():
-        want = [func(inst, q) for inst in instances]
-        assert _distances(rows, query, metric).tolist() == want
-        dataset = TemporalDataset(instances, [f"a{i}" for i in range(c)], ["u", "v", "w"], n)
-        assert nn_classify(dataset, q, metric) == _ref_nn_classify(dataset, q, metric)
-    for inst in instances:
-        assert euclidean_i(inst, q) == _ref_euclidean_i(inst, q)
-        assert dtw_i(inst, q) == _ref_dtw_i(inst, q)
-        assert dtw_d(inst, q) == _ref_dtw_d(inst, q)
-    # unequal lengths, and a one-point series on either side
-    assert dtw(a, b) == _ref_dtw(a, b)
-    assert dtw(b, a) == _ref_dtw(b, a)
-    assert dtw(a[:1], b) == _ref_dtw(a[:1], b)
+    targets = [Instance(x, 0) for x in queries]
+    dataset = TemporalDataset(instances, [f"a{i}" for i in range(c)], ["u", "v", "w"], n)
+    with mock.patch.object(baselines, "_PASS_CELLS", cells):
+        for metric, func in _REFERENCE.items():
+            dist = _distances(instances, targets, metric)
+            assert dist.shape == (len(targets), len(instances))
+            for row, q in zip(dist.tolist(), targets):
+                assert row == [func(inst, q) for inst in instances]
+            want = [_ref_nn_classify(dataset, q, metric) for q in targets]
+            assert nn_predict(dataset, targets, metric) == want
+            assert [nn_classify(dataset, q, metric) for q in targets] == want
+        q = targets[-1]
+        for inst in instances:
+            assert euclidean_i(inst, q) == _ref_euclidean_i(inst, q)
+            assert dtw_i(inst, q) == _ref_dtw_i(inst, q)
+            assert dtw_d(inst, q) == _ref_dtw_d(inst, q)
+        # unequal lengths, and a one-point series on either side
+        assert dtw(a, b) == _ref_dtw(a, b)
+        assert dtw(b, a) == _ref_dtw(b, a)
+        assert dtw(a[:1], b) == _ref_dtw(a[:1], b)
 
 
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
@@ -327,3 +396,11 @@ def test_nn_classify_refuses_a_query_of_another_shape(metric):
     three_channels = Instance(rng.normal(size=(3, 30)), 0)
     with pytest.raises(ValueError, match="mismatched shapes"):
         nn_classify(train, three_channels, metric)
+    # in a batch, the last query alone is enough to refuse it
+    fitting = [Instance(rng.normal(size=(2, 30)), 0) for _ in range(4)]
+    for odd in (longer, three_channels):
+        with pytest.raises(ValueError, match="mismatched shapes"):
+            nn_predict(train, fitting + [odd], metric)
+    # and so is one training instance of another shape
+    with pytest.raises(ValueError, match="mismatched shapes"):
+        _distances(train.instances + [longer], fitting, metric)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tstrees.cli import main
+from tstrees.cli import build_parser, main
 from tstrees.core import Instance, LearnerConfig, TemporalDataset
 from tstrees.dataio import serialize_semicolon_table
 from tstrees.induction import classify, grow_tree
@@ -124,6 +124,23 @@ def test_train_prints_tree_and_saves_model(tmp_path, capsys):
     assert code == 0
     assert "var0" in out
     assert model_path.exists()
+
+
+def test_main_calls_share_the_parser_but_keep_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    data = str(write_dataset(tmp_path, separable_dataset()))
+    grids = {}
+    # --alpha is an append action: a later call without it must fall back to
+    # the default grid, and a later call with it must not see earlier values
+    for name, option in (("two", ["--alpha", "0.6", "--alpha", "0.7"]), ("none", []), ("one", ["--alpha", "0.8"])):
+        model_path = tmp_path / f"{name}.json"
+        assert main(["train", "--data", data, "--min-leaf", "1", "--out", str(model_path), *option]) == 0
+        grids[name] = load_model(model_path).config.alpha_grid
+    assert grids == {"two": (0.6, 0.7), "none": (1.0,), "one": (0.8,)}
+    assert main(["train", "--data", data, "--min-leaf", "0"]) == 1
+    capsys.readouterr()
+    assert main(["train", "--data", data]) == 0
+    assert "var0" in capsys.readouterr().out
 
 
 def test_train_pure_class_file_prints_single_leaf(tmp_path, capsys):
