@@ -34,7 +34,7 @@ from .evaluation import (
     metrics_lines,
     percent,
 )
-from .induction import classify, confusion, grow_static_tree, grow_tree, static_series_dataset
+from .induction import classify, grow_static_tree, grow_tree, static_series_dataset
 from .model import ModelBundle, load_model, save_model
 from .rendering import extract_class_theory, render_tree
 
@@ -202,6 +202,8 @@ def _remap_to_model(dataset: TemporalDataset, bundle: ModelBundle) -> TemporalDa
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     dataset = _load(args.data, args.format, args.class_column)
+    if args.theory_class is not None and args.theory_class not in dataset.class_names:
+        raise DataFormatError(f"unknown class {args.theory_class!r}")
     tree = grow_tree(dataset, config)
     sys.stdout.write(
         render_tree(
@@ -221,8 +223,6 @@ def _cmd_train(args) -> int:
         )
         save_model(args.out, bundle)
     if args.theory_class is not None:
-        if args.theory_class not in dataset.class_names:
-            raise DataFormatError(f"unknown class {args.theory_class!r}")
         for formula in extract_class_theory(
             tree,
             dataset.class_names.index(args.theory_class),
@@ -246,17 +246,13 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     dataset = _remap_to_model(_load(args.data, args.format, args.class_column), bundle)
-    q = dataset.class_count
-    rows = [[0] * q for _ in range(q)]
+    actual = [inst.class_index for inst in dataset.instances]
+    leaves = [classify(bundle.tree, inst) for inst in dataset.instances]
+    matrix = ConfusionMatrix.tally([cls for cls, _ in leaves], actual, dataset.class_count)
     scores = []
-    for inst in dataset.instances:
-        cls, counts = classify(bundle.tree, inst)
-        rows[cls][inst.class_index] += 1
+    for true, (_, counts) in zip(actual, leaves):
         total = sum(counts)
-        scores.append(
-            (inst.class_index, [c / total if total else 0.0 for c in counts])
-        )
-    matrix = ConfusionMatrix.from_rows(rows)
+        scores.append((true, [c / total if total else 0.0 for c in counts]))
     acc = accuracy(matrix)
     report = class_report(matrix, scores)
 
@@ -291,54 +287,54 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_Runner = Callable[[TemporalDataset, TemporalDataset], float]
+_Runner = Callable[[TemporalDataset, TemporalDataset], list[int]]
 
 
-def _tj48_accuracy(config: LearnerConfig, train: TemporalDataset, test: TemporalDataset) -> float:
-    return accuracy(confusion(grow_tree(train, config), test))
+def _tj48_predict(config: LearnerConfig, train: TemporalDataset, test: TemporalDataset) -> list[int]:
+    tree = grow_tree(train, config)
+    return [classify(tree, inst)[0] for inst in test.instances]
 
 
-def _nn_accuracy(metric: str, train: TemporalDataset, test: TemporalDataset) -> float:
-    q = train.class_count
-    rows = [[0] * q for _ in range(q)]
-    for pred, inst in zip(nn_predict(train, test.instances, metric), test.instances):
-        rows[pred][inst.class_index] += 1
-    return accuracy(ConfusionMatrix.from_rows(rows))
+def _nn_predict(metric: str, train: TemporalDataset, test: TemporalDataset) -> list[int]:
+    return nn_predict(train, test.instances, metric)
 
 
-def _j48_accuracy(mask: FeatureMask, train: TemporalDataset, test: TemporalDataset) -> float:
-    table, names = feature_table(train, mask)
+def _j48_predict(mask: FeatureMask, train: TemporalDataset, test: TemporalDataset) -> list[int]:
+    table, _ = feature_table(train, mask)
     labels = [inst.class_index for inst in train.instances]
     tree = grow_static_tree(table, labels, LearnerConfig())
     test_table, _ = feature_table(test, mask)
-    test_labels = [inst.class_index for inst in test.instances]
-    encoded = static_series_dataset(
-        test_table, test_labels, attribute_names=names, class_names=train.class_names
-    )
-    return accuracy(confusion(tree, encoded))
+    encoded = static_series_dataset(test_table, [inst.class_index for inst in test.instances])
+    return [classify(tree, inst)[0] for inst in encoded.instances]
 
 
 def _parse_method(method: str) -> _Runner:
     """Check one method token and return the function that trains it on a
-    training split and returns its accuracy on the test split."""
+    training split and returns its class predictions for the test split."""
     name, _, spec = method.partition(":")
     try:
         if name == "tj48":
             grid = _parse_alpha_spec([spec]) if spec else (1.0,)
-            return partial(_tj48_accuracy, LearnerConfig(alpha_grid=grid))
+            return partial(_tj48_predict, LearnerConfig(alpha_grid=grid))
         if name == "j48":
             mask = FeatureMask.from_bits(spec) if spec else FeatureMask(True, True, True, True)
-            return partial(_j48_accuracy, mask)
+            return partial(_j48_predict, mask)
     except ValueError as exc:  # an alpha or mask that LearnerConfig or FeatureMask refuses
         raise UsageError(f"method {method!r}: {exc}") from exc
     if method in DISTANCE_METRICS:
-        return partial(_nn_accuracy, method)
+        return partial(_nn_predict, method)
     raise UsageError(f"unknown method {method!r}")
+
+
+def _test_accuracy(run: _Runner, train: TemporalDataset, test: TemporalDataset) -> float:
+    """Train one method's runner and score its predictions on the test split."""
+    actual = [inst.class_index for inst in test.instances]
+    return accuracy(ConfusionMatrix.tally(run(train, test), actual, test.class_count))
 
 
 def run_method(method: str, train: TemporalDataset, test: TemporalDataset) -> float:
     """Train one comparison method and return its test accuracy."""
-    return _parse_method(method)(train, test)
+    return _test_accuracy(_parse_method(method), train, test)
 
 
 def _race_plan(args) -> list[tuple[str, _Runner]]:
@@ -374,7 +370,7 @@ def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
                     f"side of {trimmed.size} cases empty"
                 )
         for method, run in plan:
-            records.append((name, method, "accuracy", run(train, test)))
+            records.append((name, method, "accuracy", _test_accuracy(run, train, test)))
     return records
 
 
@@ -449,20 +445,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_data_options(sub, with_class_column=True):
-    sub.add_argument("--data", required=True, help="path to the data file")
+def _add_data_options(sub, flag="--data", help="path to the data file"):
+    sub.add_argument(flag, required=True, help=help)
     sub.add_argument(
         "--format",
         choices=("auto", "semicolon", "uea"),
         default="auto",
         help="input format; auto picks by extension (.ts means uea)",
     )
-    if with_class_column:
-        sub.add_argument(
-            "--class-column",
-            default=None,
-            help="class column name or index for the semicolon format",
-        )
+    sub.add_argument(
+        "--class-column",
+        default=None,
+        help="class column name or index for the semicolon format",
+    )
 
 
 def _add_split_options(sub):
@@ -522,13 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_bench = subs.add_parser("bench", help="run the comparison over a directory of datasets")
-    p_bench.add_argument("--data-dir", required=True)
-    p_bench.add_argument(
-        "--format",
-        choices=("auto", "semicolon", "uea"),
-        default="auto",
-    )
-    p_bench.add_argument("--class-column", default=None)
+    _add_data_options(p_bench, "--data-dir", "directory of .ts and .csv data files")
     _add_split_options(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 

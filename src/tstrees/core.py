@@ -231,12 +231,19 @@ class ConfusionMatrix:
                 raise ValueError("confusion matrix entries must be >= 0")
 
     @classmethod
-    def zeros(cls, q: int) -> "ConfusionMatrix":
-        return cls(tuple(tuple(0 for _ in range(q)) for _ in range(q)))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "ConfusionMatrix":
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
+
+    @classmethod
+    def tally(cls, predicted: Sequence[int], actual: Sequence[int], q: int) -> "ConfusionMatrix":
+        """Count (predicted, true) class pairs: entry [p][t] is the number of
+        instances predicted p whose true class is t."""
+        if len(predicted) != len(actual):
+            raise ValueError(f"{len(predicted)} predictions for {len(actual)} instances")
+        rows = [[0] * q for _ in range(q)]
+        for p, t in zip(predicted, actual):
+            rows[p][t] += 1
+        return cls.from_rows(rows)
 
     def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
         if len(self.counts) != len(other.counts):

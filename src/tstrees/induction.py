@@ -43,7 +43,6 @@ from .core import (
     ConfusionMatrix,
     Instance,
     IntervalRelation,
-    Leaf,
     LearnerConfig,
     Node,
     ROOT_REFERENCE,
@@ -332,29 +331,24 @@ def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
 
 
 def static_series_dataset(
-    table: Sequence[Sequence[float]] | np.ndarray,
-    labels: Sequence[int],
-    attribute_names: Optional[Sequence[str]] = None,
-    class_names: Optional[Sequence[str]] = None,
+    table: Sequence[Sequence[float]] | np.ndarray, labels: Sequence[int]
 ) -> TemporalDataset:
-    """Encode a static table as constant two-point series, one per cell."""
+    """Encode a static table as constant two-point series, one per cell;
+    columns are named ``var<j>`` and classes ``class<c>``."""
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("table must be a non-empty 2-D matrix")
     m, n = arr.shape
     if len(labels) != m:
         raise ValueError("labels must match the number of rows")
-    names = list(attribute_names) if attribute_names else [f"var{j}" for j in range(n)]
-    q = max(labels) + 1
-    classes = list(class_names) if class_names else [f"class{c}" for c in range(q)]
     instances = [
         Instance(channels=np.repeat(arr[i][:, None], 2, axis=1), class_index=int(labels[i]))
         for i in range(m)
     ]
     return TemporalDataset(
         instances=instances,
-        attribute_names=names,
-        class_names=classes,
+        attribute_names=[f"var{j}" for j in range(n)],
+        class_names=[f"class{c}" for c in range(max(labels) + 1)],
         series_length=2,
     )
 
@@ -380,7 +374,9 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, tuple[int, ..
 
     Satisfying a modal decision moves the instance onto the witness interval;
     failing one leaves the reference unchanged.  Returns the reached leaf's
-    class and class-count vector.
+    class and class-count vector.  This is the only code that applies a
+    grown tree: ``confusion``, ``predict``, ``evaluate`` and the tree methods
+    of ``compare`` and ``bench`` all route through it.
     """
     walker = instance.with_reference(ROOT_REFERENCE)
     node = tree
@@ -396,22 +392,8 @@ def classify(tree: DecisionTree, instance: Instance) -> tuple[int, tuple[int, ..
 
 
 def confusion(tree: DecisionTree, dataset: TemporalDataset) -> ConfusionMatrix:
-    """The tree's confusion matrix on a dataset, computed bottom-up.
-
-    Each leaf contributes one row: its predicted class against the true-class
-    distribution of the instances that reached it; internal nodes sum their
-    children.  Equals the per-instance classification tally by construction.
-    """
-    q = dataset.class_count
-    instances = [inst.with_reference(ROOT_REFERENCE) for inst in dataset.instances]
-
-    def theta(node: DecisionTree, insts: list[Instance]) -> ConfusionMatrix:
-        if isinstance(node, Leaf):
-            rows = [[0] * q for _ in range(q)]
-            for inst in insts:
-                rows[node.class_index][inst.class_index] += 1
-            return ConfusionMatrix.from_rows(rows)
-        t1, t2 = split_dataset(insts, node.decision)
-        return theta(node.left, t1) + theta(node.right, t2)
-
-    return theta(tree, instances)
+    """The tree's confusion matrix on a dataset (rows = predicted, columns =
+    true): the tally of :func:`classify` over its instances."""
+    predicted = [classify(tree, inst)[0] for inst in dataset.instances]
+    actual = [inst.class_index for inst in dataset.instances]
+    return ConfusionMatrix.tally(predicted, actual, dataset.class_count)

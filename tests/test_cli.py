@@ -6,7 +6,7 @@ import pytest
 from tstrees.cli import build_parser, main
 from tstrees.core import Instance, LearnerConfig, TemporalDataset
 from tstrees.dataio import serialize_semicolon_table
-from tstrees.induction import classify, grow_tree
+from tstrees.induction import classify, confusion, grow_tree
 from tstrees.model import (
     MODEL_VERSION,
     ModelBundle,
@@ -126,6 +126,25 @@ def test_train_prints_tree_and_saves_model(tmp_path, capsys):
     assert model_path.exists()
 
 
+def test_train_unknown_theory_class_exits_2_before_training(tmp_path, capsys):
+    data = write_dataset(tmp_path, separable_dataset())
+    model_path = tmp_path / "model.json"
+    code = main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path),
+                 "--theory-class", "Nope"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown class 'Nope'" in captured.err
+    assert not model_path.exists()
+    # a known class still trains, saves and prints its theory after the tree
+    code = main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path),
+                 "--theory-class", "Hi"])
+    assert code == 0 and model_path.exists()
+    assert capsys.readouterr().out.splitlines() == [
+        "<A> var0 <= 0.53: Lo (4.0)", "[A] var0 > 0.53: Hi (4.0)", "[A](var0 > 0.53)"
+    ]
+
+
 def test_main_calls_share_the_parser_but_keep_no_state(tmp_path, capsys):
     assert build_parser() is build_parser()
     data = str(write_dataset(tmp_path, separable_dataset()))
@@ -209,6 +228,28 @@ def test_evaluate_reports_accuracy(tmp_path, capsys):
     assert "tp_rate" in out
     lines = report_path.read_text().splitlines()
     assert any("\taccuracy\t" in line for line in lines)
+
+
+def test_evaluate_matrix_equals_confusion(tmp_path, rng, capsys):
+    ds = random_dataset(rng, m=12, n=2, length=5, q=3)
+    held_out = random_dataset(rng, m=30, n=2, length=5, q=3)
+    config = LearnerConfig(min_leaf_size=1)
+    tree = grow_tree(ds, config)
+    model_path = tmp_path / "m.json"
+    save_model(model_path, ModelBundle(tree, ds.attribute_names, ds.class_names, 5, config))
+    data = write_dataset(tmp_path, held_out, "held_out.csv")
+    assert main(["evaluate", "--model", str(model_path), "--data", str(data)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("confusion matrix (rows = predicted, columns = true):") + 2
+    printed = {}
+    for line in lines[start : start + len(ds.class_names)]:
+        name, *counts = line.split()
+        printed[name] = tuple(int(c) for c in counts)
+    expected = confusion(tree, held_out).counts
+    assert printed == dict(zip(ds.class_names, expected))
+    # the held-out data is not all classified correctly, so the check sees
+    # off-diagonal counts and the orientation of the matrix
+    assert any(expected[p][t] for p in range(3) for t in range(3) if p != t)
 
 
 def test_usage_error_exits_1(tmp_path, capsys):

@@ -92,6 +92,19 @@ def test_confusion_matrix_algebra():
         ConfusionMatrix.from_rows([[1, -2], [0, 0]])
 
 
+def test_confusion_matrix_tally():
+    # rows are predicted classes, columns true ones: row 2 holds three
+    # predictions of class 2, column 2 one instance of true class 2
+    matrix = ConfusionMatrix.tally([0, 2, 2, 1, 2], [0, 1, 2, 1, 0], 3)
+    assert matrix.counts == ((1, 0, 0), (0, 1, 0), (1, 1, 1))
+    assert matrix.total == 5 and matrix.trace == 3
+    assert ConfusionMatrix.tally([], [], 2).counts == ((0, 0), (0, 0))
+    with pytest.raises(ValueError, match="2 predictions for 1 instances"):
+        ConfusionMatrix.tally([0, 1], [0], 2)
+    with pytest.raises(ValueError, match="0 predictions for 1 instances"):
+        ConfusionMatrix.tally([], [1], 2)
+
+
 def test_dataset_validation():
     inst = Instance(np.zeros((2, 4)), 0)
     ds = TemporalDataset([inst], ["a", "b"], ["x", "y"], 4)
