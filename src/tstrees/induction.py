@@ -17,16 +17,22 @@ alpha exactly when its k-th smallest value is <= t, and ``A > t`` exactly
 when its k-th largest value is > t, with k = ceil(alpha * p); every window
 of each length is sorted once per (attribute, degree) to read these order
 statistics.  Per (comparator, alpha, relation), one masked min (or max) over
-an instance's successors gives its critical value, and cumulative class
-counts over the critical values give the partition at every threshold at
-once.  Only the first threshold of each distinct partition is scored.
+an instance's successors gives its critical value; per (comparator, alpha),
+cumulative class counts over the critical values give the partition at
+every (relation, threshold) at once.  Only the first threshold of each
+distinct partition is scored.
 
 Comparator ``=`` is not monotone and keeps one mask pass per threshold:
 prefix counts give every interval's satisfaction, and an instance satisfies
 the modality when some satisfied interval lies under its mask.
 
-The reduction applies a total canonical tie-break, so the winner is
-independent of evaluation order.
+Candidates are scored in batches.  Each (attribute, degree, comparator,
+alpha) yields one batch of satisfying-side class counts, scored in one array
+pass that equals :func:`info_split` bit for bit (:func:`_split_scorer`).
+The batch lists its rows in (relation order, threshold) order, so its first
+minimum is its canonical winner, and only that winner meets the total
+canonical tie-break across batches; the winner is independent of
+evaluation order.
 """
 
 from __future__ import annotations
@@ -165,6 +171,43 @@ def _order_statistics(
     return stats
 
 
+def _split_scorer(parent_counts: np.ndarray, low: int):
+    """Batch form of :func:`info_split` for the binary splits of one node.
+
+    ``parent_counts`` holds the node's m instances per class and ``low`` the
+    minimum leaf size.  The returned ``score(c1)`` takes an (r, q) array of
+    satisfying-side class counts, each row summing to a size in
+    [low, m - low], and returns the r values of
+    ``info_split(m, [c1, parent_counts - c1])``, bit for bit: the entropy
+    terms come from a table built with the float operations of :func:`info`
+    and are added in class order, and the two sides are weighted and added as
+    ``info_split`` adds them.  The table is built per call and covers only
+    sizes low .. m - low and counts up to the largest class count.
+    """
+    m = int(parent_counts.sum())
+    width = int(parent_counts.max()) + 1
+    sizes = np.arange(low, m - low + 1)[:, None]
+    counts = np.arange(width)
+    # terms[s - low, c] = (c / s) * log2(c / s); p = 1 where c is 0 (or
+    # above s, never read) gives the 0.0 that info skips
+    p = np.where((counts > 0) & (counts <= sizes), counts / sizes, 1.0)
+    logs = np.fromiter(map(math.log2, p.ravel().tolist()), np.float64, p.size)
+    terms = (p * logs.reshape(p.shape)).ravel()
+
+    def side(n: np.ndarray, c: np.ndarray) -> np.ndarray:
+        row = terms[(n - low)[:, None] * width + c]
+        acc = row[:, 0]
+        for k in range(1, row.shape[1]):
+            acc = acc + row[:, k]
+        return (n / m) * -acc
+
+    def score(c1: np.ndarray) -> np.ndarray:
+        n1 = c1.sum(axis=1)
+        return (0.0 + side(n1, c1)) + side(m - n1, parent_counts - c1)
+
+    return score
+
+
 def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional[SplitCandidate]:
     """The admissible candidate of minimal weighted child entropy, or None
     when no candidate both respects ``min_leaf_size`` on each side and has
@@ -173,66 +216,67 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     Ties are broken canonically by (attribute index, relation order,
     comparator order, threshold, alpha, derivative degree).
     """
-    if len(instances) < 2:
-        return None
     m = len(instances)
-    n = instances[0].series_length
-    channels = np.stack([inst.channels for inst in instances])
-    classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
-    q = int(classes.max()) + 1
-    parent_counts = np.bincount(classes, minlength=q)
-    parent_list = parent_counts.tolist()
-    parent_info = info(parent_list)
     low, high = config.min_leaf_size, m - config.min_leaf_size
+    if low > high:  # too few instances for two leaves
+        return None
+    n = instances[0].series_length
 
     # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order,
-    # and per relation an (m, K) mask of each reference's successors; a
-    # relation without successors for any instance holds nowhere, and since
-    # min_leaf_size >= 1 it has no admissible candidate
+    # and per relation, in rank order, an (m, K) mask of each reference's
+    # successors; a relation without successors for any instance holds
+    # nowhere, and since min_leaf_size >= 1 it has no admissible candidate
     u, v = np.triu_indices(n + 1, k=1)
     ref_x = np.array([[inst.reference.x] for inst in instances])
     ref_y = np.array([[inst.reference.y] for inst in instances])
     masks = []
-    for rel in config.relations:
+    for rel in sorted(config.relations, key=lambda r: r.rank):
         r1, r2, c1, c2 = relation_rectangle(rel, ref_x, ref_y, n)
         mask = (r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2)
         if mask.any():
             masks.append((rel, mask))
+    if not masks:
+        return None
 
+    channels = np.stack([inst.channels for inst in instances])
+    classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
+    q = int(classes.max()) + 1
+    parent_counts = np.bincount(classes, minlength=q)
+    parent_info = info(parent_counts.tolist())
+    score = _split_scorer(parent_counts, low)
     best_key: Optional[tuple] = None
     best_cand: Optional[SplitCandidate] = None
-    # split_info per distinct satisfying class counts, kept per (attribute,
-    # degree): most repeats come from other relations, alphas and comparators
-    # on the same values, and a per-node table would hold thousands of keys
-    split_infos: dict[tuple[int, ...], float] = {}
 
-    def offer(c1: tuple[int, ...], attr, rel, comparator, a_thr, alpha, z) -> None:
-        """Score the candidate whose satisfying side has class counts ``c1``
-        (its size already within the leaf bounds); keep it if it wins."""
+    def consider(c1, rel_at, thr_at, thresholds, attr, comparator, alpha, z) -> None:
+        """Score one batch of candidates of an (attribute, degree,
+        comparator, alpha), given as the satisfying-side class counts ``c1``
+        in (relation rank, threshold) order with their mask and threshold
+        indices; the first minimum is the batch's canonical winner, and it
+        is kept if it beats the best so far."""
         nonlocal best_key, best_cand
-        si = split_infos.get(c1)
-        if si is None:
-            c2 = [p - c for p, c in zip(parent_list, c1)]
-            si = split_infos[c1] = info_split(m, [list(c1), c2])
-        if si >= parent_info or (best_key is not None and si > best_key[0]):
+        if not len(c1):
             return
-        key = (si, attr, rel.rank, comparator.rank, a_thr, alpha, z)
-        if best_key is None or key < best_key:
-            n1 = sum(c1)
-            best_key = key
-            best_cand = SplitCandidate(
-                decision=TemporalDecision(
-                    relation=rel,
-                    attribute_index=attr,
-                    derivative_degree=z,
-                    comparator=comparator,
-                    threshold=a_thr,
-                    alpha=alpha,
-                    eq_tolerance=config.eq_tolerance,
-                ),
-                split_info=si,
-                partition_sizes=(n1, m - n1),
-            )
+        si = score(c1)
+        w = int(si.argmin())
+        rel = masks[rel_at[w]][0]
+        key = (float(si[w]), attr, rel.rank, comparator.rank, thresholds[thr_at[w]], alpha, z)
+        if key[0] >= parent_info or (best_key is not None and key >= best_key):
+            return
+        n1 = int(c1[w].sum())
+        best_key = key
+        best_cand = SplitCandidate(
+            decision=TemporalDecision(
+                relation=rel,
+                attribute_index=attr,
+                derivative_degree=z,
+                comparator=comparator,
+                threshold=key[4],
+                alpha=alpha,
+                eq_tolerance=config.eq_tolerance,
+            ),
+            split_info=key[0],
+            partition_sizes=(n1, m - n1),
+        )
 
     sweeps = [
         (comparator, alpha)
@@ -243,58 +287,69 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     for attr in range(channels.shape[1]):
         deriv = channels[:, attr, :]
         for z in range(0, min(config.max_derivative, n - 1) + 1):
-            split_infos.clear()
             if z:
                 deriv = np.diff(deriv, axis=1)
             thresholds = candidate_thresholds(deriv.ravel(), config.max_threshold_candidates)
             if not thresholds:
                 continue
+            t = len(thresholds)
             lo, hi = point_spans(u, v, n, z)
             length = hi - lo + 1
             if Comparator.EQ in config.comparators:
-                # not monotone in the threshold: one mask pass per threshold
-                req = {a: required_counts(a, n)[length] for a in config.alpha_grid}
+                # not monotone in the threshold: one mask pass per threshold;
+                # held[a, r, j, i]: instance i satisfies the modality of
+                # masks[r] at thresholds[j] and alpha_grid[a]
+                req = [required_counts(a, n)[length] for a in config.alpha_grid]
+                held = np.empty((len(req), len(masks), t, m), dtype=bool)
                 cum = np.zeros((m, n - z + 1), dtype=np.int64)
-                for a_thr in thresholds:
+                for j, a_thr in enumerate(thresholds):
                     point_ok = compare_values(deriv, Comparator.EQ, a_thr, config.eq_tolerance)
                     np.cumsum(point_ok, axis=1, out=cum[:, 1:])
                     counts = cum[:, hi] - cum[:, lo - 1]
-                    for alpha in config.alpha_grid:
-                        sat = counts >= req[alpha]
-                        for rel, mask in masks:
-                            satisfied = (sat & mask).any(axis=1)
-                            n1 = int(satisfied.sum())
-                            if low <= n1 <= high:
-                                c1 = tuple(np.bincount(classes[satisfied], minlength=q).tolist())
-                                offer(c1, attr, rel, Comparator.EQ, a_thr, alpha, z)
+                    for a, need in enumerate(req):
+                        sat = counts >= need
+                        for r, (_, mask) in enumerate(masks):
+                            held[a, r, j] = (sat & mask).any(axis=1)
+                one_hot = (classes[:, None] == np.arange(q)).astype(np.intp)
+                for alpha, rows in zip(config.alpha_grid, held):
+                    c1 = rows @ one_hot
+                    sizes = c1.sum(axis=2)
+                    rel_at, thr_at = np.nonzero((sizes >= low) & (sizes <= high))
+                    consider(c1[rel_at, thr_at], rel_at, thr_at, thresholds,
+                             attr, Comparator.EQ, alpha, z)
             if not sweeps:
                 continue
-            t = len(thresholds)
             stats = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
+            # bincount offsets: row (r, rank + 1, class) of a (R, t + 2, q) table
+            base = (np.arange(len(masks)) * (t + 2) + 1)[:, None] * q + classes
             for (comparator, alpha), stat in zip(sweeps, stats):
                 smallest = comparator is Comparator.LE
                 reduce = np.minimum.reduce if smallest else np.maximum.reduce
                 never = t if smallest else -1
-                for rel, mask in masks:
-                    # the critical rank: the instance satisfies the modality
-                    # at thresholds[j] iff it is <= j (resp. > j)
-                    crit = reduce(stat, axis=1, where=mask, initial=never)
-                    # le[j, c]: instances of class c whose critical rank is <= j
-                    rows = (crit.astype(np.intp) + 1) * q + classes
-                    hist = np.bincount(rows, minlength=(t + 2) * q).reshape(t + 2, q)
-                    # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
-                    # form leaves fresh name strings in CPython's type cache
-                    le = np.add.accumulate(hist)[1 : t + 1]
-                    below = le.sum(axis=1)
-                    sizes = below if smallest else m - below
-                    # a repeated size is the same partition at a larger
-                    # threshold, whose key is larger: keep the first only
-                    fresh = (sizes >= low) & (sizes <= high)
-                    fresh[1:] &= below[1:] != below[:-1]
-                    picks = np.flatnonzero(fresh)
-                    counts = le[picks] if smallest else parent_counts - le[picks]
-                    for j, c1 in zip(picks.tolist(), counts.tolist()):
-                        offer(tuple(c1), attr, rel, comparator, thresholds[j], alpha, z)
+                # crit[r, i]: instance i's critical rank under masks[r]; it
+                # satisfies the modality at thresholds[j] iff crit <= j
+                # (resp. > j)
+                crit = np.stack(
+                    [reduce(stat, axis=1, where=mask, initial=never) for _, mask in masks]
+                )
+                # le[r, j, c]: instances of class c whose critical rank under
+                # masks[r] is <= j
+                bins = (base + q * crit.astype(np.intp)).ravel()
+                hist = np.bincount(bins, minlength=len(masks) * (t + 2) * q)
+                # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
+                # form leaves fresh name strings in CPython's type cache
+                le = np.add.accumulate(hist.reshape(len(masks), t + 2, q), axis=1)[:, 1 : t + 1]
+                below = le.sum(axis=2)
+                sizes = below if smallest else m - below
+                # a repeated size is the same partition at a larger threshold,
+                # whose key is larger: keep the first only
+                fresh = (sizes >= low) & (sizes <= high)
+                fresh[:, 1:] &= below[:, 1:] != below[:, :-1]
+                rel_at, thr_at = np.nonzero(fresh)
+                c1 = le[rel_at, thr_at]
+                if not smallest:
+                    c1 = parent_counts - c1
+                consider(c1, rel_at, thr_at, thresholds, attr, comparator, alpha, z)
     return best_cand
 
 

@@ -58,6 +58,7 @@ def relation_tensor(n: int) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def ceil_alpha(alpha: float, n_points: int) -> int:
     return math.ceil(Fraction(alpha) * n_points)
 

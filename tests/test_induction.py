@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from tstrees.core import (
     iter_leaves,
     iter_nodes,
 )
+from tstrees import induction
 from tstrees.induction import (
+    _split_scorer,
     best_split,
     candidate_thresholds,
     classify,
@@ -239,32 +242,93 @@ def test_best_split_matches_exhaustive_enumeration_property(node):
 
 def test_best_split_keeps_no_memory_between_calls():
     """Live memory after 50 searches on one node stays within 256 B per call
-    of what it was after 5 warm-up searches.  Before each reading, a full
-    collection and a cleared type cache release what CPython keeps on its
-    own: free lists, and the attribute names numpy's C code creates afresh
-    on some method calls, which the type cache holds (bounded, not leaked)."""
+    of what it was after 5 warm-up searches, for a ``<=``/``>`` config and
+    for one whose ``=`` path wins.  Before each reading, a full collection
+    and a cleared type cache release what CPython keeps on its own: free
+    lists, and the attribute names numpy's C code creates afresh on some
+    method calls, which the type cache holds (bounded, not leaked)."""
     rng = np.random.default_rng(11)
     instances = [
         Instance(np.round(rng.normal(size=(2, 12)), 1), i % 3) for i in range(24)
     ]
-    config = LearnerConfig(alpha_grid=(0.6, 0.9))
+    configs = (
+        LearnerConfig(alpha_grid=(0.6, 0.9)),
+        LearnerConfig(alpha_grid=(0.6, 0.9), comparators=tuple(Comparator), eq_tolerance=0.1),
+    )
 
     def live_bytes():
         gc.collect()
         sys._clear_type_cache()
         return tracemalloc.get_traced_memory()[0]
 
-    for _ in range(5):
-        best_split(instances, config)
-    tracemalloc.start()
-    try:
-        before = live_bytes()
-        for _ in range(50):
+    for config in configs:
+        for _ in range(5):
             best_split(instances, config)
-        growth = live_bytes() - before
-    finally:
-        tracemalloc.stop()
-    assert growth / 50 < 256
+        tracemalloc.start()
+        try:
+            before = live_bytes()
+            for _ in range(50):
+                best_split(instances, config)
+            growth = live_bytes() - before
+        finally:
+            tracemalloc.stop()
+        assert growth / 50 < 256
+
+
+def test_best_split_returns_early_when_no_split_can_be_admissible():
+    """Too few instances for two leaves, or no successor under any relation:
+    the search returns None without sorting a window."""
+    rng = np.random.default_rng(3)
+    rows = [rng.normal(size=(1, 6)) for _ in range(6)]
+    root = [Instance(row, i % 2) for i, row in enumerate(rows)]
+    at_end = [Instance(row, i % 2, reference=Interval(2, 6)) for i, row in enumerate(rows)]
+    spy = mock.patch.object(induction, "_order_statistics", wraps=induction._order_statistics)
+    with spy as order_statistics:
+        assert best_split(root[:5], LearnerConfig(min_leaf_size=3)) is None
+        assert best_split(at_end, LearnerConfig(relations=(Rel.A, Rel.L))) is None
+        assert order_statistics.call_count == 0
+        # the same nodes with room for a split do sort
+        best_split(root, LearnerConfig(min_leaf_size=3))
+        best_split(at_end, LearnerConfig(relations=(Rel.A, Rel.L, Rel.B)))
+        assert order_statistics.call_count == 2
+
+
+@st.composite
+def _split_batches(draw):
+    """A node's class counts (1 to 6 classes, some possibly 0, m from 2 to
+    300), a minimum leaf size from 1 to 3, and satisfying-side class counts:
+    rows at both size bounds that take whole classes in class order and in
+    reverse, and rows of random class make-up and size within the bounds."""
+    q = draw(st.integers(1, 6))
+    low = draw(st.integers(1, 3))
+    m = draw(st.integers(max(2, 2 * low), 300))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=q - 1, max_size=q - 1)))
+    parent = np.diff([0, *cuts, m])
+    rows = []
+    for size in (low, m - low):
+        for order in (range(q), reversed(range(q))):
+            row, left = [0] * q, size
+            for c in order:
+                row[c] = min(int(parent[c]), left)
+                left -= row[c]
+            rows.append(row)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for size in rng.integers(low, m - low + 1, size=draw(st.integers(0, 30))):
+        rows.append(rng.multivariate_hypergeometric(parent, int(size)).tolist())
+    return parent.tolist(), low, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_batches())
+@example(([9, 66], 1, [[0, 1]]))  # np.log2(65 / 74) is 1 ulp off math.log2 (numpy 2.4, x86-64)
+def test_split_scorer_equals_info_split_property(batch):
+    parent, low, rows = batch
+    parent_counts = np.array(parent, dtype=np.intp)
+    c1 = np.array(rows, dtype=np.intp).reshape(-1, len(parent))
+    got = _split_scorer(parent_counts, low)(c1)
+    m = sum(parent)
+    for row, si in zip(c1.tolist(), got.tolist()):
+        assert si == info_split(m, [row, [p - c for p, c in zip(parent, row)]])
 
 
 def test_grow_tree_single_class_is_leaf():
