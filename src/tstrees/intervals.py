@@ -270,7 +270,7 @@ def check_decision(instance: Instance, decision: TemporalDecision) -> WitnessRes
     )
     # prefix counts over points 1..n-z; cum[t] = satisfied points in 1..t
     cum = np.zeros(deriv.shape[0] + 1, dtype=np.int64)
-    point_ok.cumsum(out=cum[1:])
+    np.add.accumulate(point_ok, out=cum[1:])
     lo, hi = point_spans(u, v, n, z)
     need = required_counts(decision.alpha, n)[hi - lo + 1]
     ok = (u < v) & (cum[hi] - cum[lo - 1] >= need)

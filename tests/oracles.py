@@ -11,12 +11,13 @@ evaluation internals except shared, purely definitional plumbing
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from tstrees.core import Comparator, IntervalRelation, Interval
+from tstrees.core import Comparator, IntervalRelation, Interval, TemporalDecision
 from tstrees.induction import candidate_thresholds
 
 Rel = IntervalRelation
@@ -255,6 +256,51 @@ def exhaustive_best_split(instances, config):
     if best is None:
         return None
     return best, best_sizes
+
+
+def reference_grow_tree(instances, q, config):
+    """The tree grown from ``instances`` (each on its reference interval)
+    over ``q`` classes, as nested tuples: ``("leaf", class, counts)``, with
+    the lowest majority class, or ``("node", (attr, relation rank,
+    comparator rank, threshold as float.hex, alpha, degree), satisfied
+    subtree, unsatisfied subtree)``.  A node is a leaf when its entropy is at
+    most the purity threshold, when it holds fewer than twice the minimum
+    leaf size, or when :func:`exhaustive_best_split` finds no split.
+    Otherwise :func:`slow_check` routes each instance, and one that satisfies
+    a modal decision moves onto its witness before the satisfied side is
+    grown."""
+    counts = tuple(sum(1 for inst in instances if inst.class_index == c) for c in range(q))
+    leaf = ("leaf", counts.index(max(counts)), counts)
+    if entropy(counts) <= config.purity_threshold or len(instances) < 2 * config.min_leaf_size:
+        return leaf
+    found = exhaustive_best_split(instances, config)
+    if found is None:
+        return leaf
+    (_, attr, rel_rank, cmp_rank, thr, alpha, z), _ = found
+    decision = TemporalDecision(
+        relation=next(rel for rel in Rel if rel.rank == rel_rank),
+        attribute_index=attr,
+        derivative_degree=z,
+        comparator=next(c for c in Comparator if c.rank == cmp_rank),
+        threshold=thr,
+        alpha=alpha,
+        eq_tolerance=config.eq_tolerance,
+    )
+    satisfied, unsatisfied = [], []
+    for inst in instances:
+        ok, witness = slow_check(inst, decision)
+        if not ok:
+            unsatisfied.append(inst)
+        elif witness is None:
+            satisfied.append(inst)
+        else:
+            satisfied.append(replace(inst, reference=Interval(*witness)))
+    return (
+        "node",
+        (attr, rel_rank, cmp_rank, thr.hex(), alpha, z),
+        reference_grow_tree(satisfied, q, config),
+        reference_grow_tree(unsatisfied, q, config),
+    )
 
 
 def dtw_by_paths(cost) -> float:

@@ -33,6 +33,7 @@ from tstrees.induction import (
     info_split,
     static_series_dataset,
 )
+from tstrees.intervals import point_spans, required_counts
 
 import oracles
 from conftest import random_dataset
@@ -275,9 +276,36 @@ def test_best_split_keeps_no_memory_between_calls():
         assert growth / 50 < 256
 
 
+def test_best_split_eq_path_keeps_no_memory_between_calls():
+    """Live memory after 50 searches whose ``=`` path runs stays within
+    256 B per call of what it was after 5 warm-up searches, with the type
+    cache left as it is: the prefix counts of the ``=`` path must not leave
+    fresh attribute names in it on every call."""
+    rng = np.random.default_rng(11)
+    instances = [
+        Instance(np.round(rng.normal(size=(2, 12)), 1), i % 3) for i in range(24)
+    ]
+    config = LearnerConfig(
+        alpha_grid=(0.5, 1.0), comparators=tuple(Comparator), eq_tolerance=0.1
+    )
+    for _ in range(5):
+        best_split(instances, config)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            best_split(instances, config)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth / 50 < 256
+
+
 def test_best_split_returns_early_when_no_split_can_be_admissible():
     """Too few instances for two leaves, or no successor under any relation:
-    the search returns None without sorting a window."""
+    the search returns None without building a window."""
     rng = np.random.default_rng(3)
     rows = [rng.normal(size=(1, 6)) for _ in range(6)]
     root = [Instance(row, i % 2) for i, row in enumerate(rows)]
@@ -287,10 +315,65 @@ def test_best_split_returns_early_when_no_split_can_be_admissible():
         assert best_split(root[:5], LearnerConfig(min_leaf_size=3)) is None
         assert best_split(at_end, LearnerConfig(relations=(Rel.A, Rel.L))) is None
         assert order_statistics.call_count == 0
-        # the same nodes with room for a split do sort
+        # the same nodes with room for a split do build them
         best_split(root, LearnerConfig(min_leaf_size=3))
         best_split(at_end, LearnerConfig(relations=(Rel.A, Rel.L, Rel.B)))
         assert order_statistics.call_count == 2
+
+
+@st.composite
+def _window_nodes(draw):
+    """1 to 12 series of 2 to 40 points on a coarse or a fine value grid, a
+    derivative degree up to 3 (and below N), a threshold cap up to 300 and
+    1 to 3 alphas, on and off the grid of tenths."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((2, 1000)))
+    series = rng.integers(-scale, scale + 1, size=(m, n)) / scale
+    alphas = draw(st.lists(
+        st.sampled_from((0.5, 0.7, 1.0)) | st.floats(0.01, 1.0), min_size=1, max_size=3
+    ))
+    return series, draw(st.integers(0, min(3, n - 1))), draw(st.integers(1, 300)), alphas
+
+
+_SHUFFLED = (np.arange(160) * 37 % 160).reshape(4, 40).astype(np.float64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_window_nodes())
+@example((_SHUFFLED, 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
+@example((_SHUFFLED, 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
+@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1), 0, 100, [1.0]))  # j48's static path
+def test_order_statistic_tables_equal_sorted_windows_property(node):
+    """Each sweep's ``table[:, at]`` holds, per instance and interval, the
+    k-th smallest (``<=``) or k-th largest (``>``) threshold rank of the
+    interval's data-bearing points, and the never value on an empty one."""
+    series, z, cap, alphas = node
+    m, n = series.shape
+    deriv = np.diff(series, n=z, axis=1)
+    thresholds = candidate_thresholds(deriv.ravel(), cap)
+    if not thresholds:
+        return
+    t = len(thresholds)
+    u, v = np.triu_indices(n + 1, k=1)
+    lo, hi = point_spans(u, v, n, z)
+    sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
+    tables, at = induction._order_statistics(deriv, thresholds, lo, hi - lo + 1, sweeps, n)
+    ranks = (np.array(thresholds) < deriv[:, :, None]).sum(axis=2)
+    want = np.empty((len(sweeps), m, u.size), dtype=np.int64)
+    for col, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
+        window = np.sort(ranks[:, max(x, 1) - 1 : min(y, n - z)], axis=1)
+        p = window.shape[1]
+        for s, (comparator, alpha) in enumerate(sweeps):
+            smallest = comparator is Comparator.LE
+            if not p:
+                want[s, :, col] = t if smallest else -1
+                continue
+            k = int(required_counts(alpha, n)[p])
+            want[s, :, col] = window[:, k - 1] if smallest else window[:, p - k]
+    for table, rows in zip(tables, want):
+        assert table.dtype == np.min_scalar_type(-t - 1)
+        assert (table[:, at] == rows).all()
 
 
 @st.composite
@@ -329,6 +412,66 @@ def test_split_scorer_equals_info_split_property(batch):
     m = sum(parent)
     for row, si in zip(c1.tolist(), got.tolist()):
         assert si == info_split(m, [row, [p - c for p, c in zip(parent, row)]])
+
+
+def _tree_shape(tree):
+    """A grown tree in the form of :func:`oracles.reference_grow_tree`."""
+    if isinstance(tree, Leaf):
+        return ("leaf", tree.class_index, tree.class_counts)
+    d = tree.decision
+    key = (d.attribute_index, d.relation.rank, d.comparator.rank, d.threshold.hex(),
+           d.alpha, d.derivative_degree)
+    return ("node", key, _tree_shape(tree.left), _tree_shape(tree.right))
+
+
+def _grow_case(values, classes, max_derivative, min_leaf_size):
+    """Series of values in halves, on the root reference, over three classes,
+    and a full-HS config with alphas 0.5 and 1.0."""
+    channels = np.array(values, dtype=np.float64) / 2
+    instances = [Instance(row, c) for row, c in zip(channels, classes)]
+    dataset = TemporalDataset(
+        instances, [f"a{j}" for j in range(channels.shape[1])], ["c0", "c1", "c2"],
+        channels.shape[2],
+    )
+    config = LearnerConfig(
+        alpha_grid=(0.5, 1.0), max_derivative=max_derivative, min_leaf_size=min_leaf_size
+    )
+    return dataset, config
+
+
+@st.composite
+def _grow_cases(draw):
+    """6 to 14 instances of 1 or 2 channels over 3 to 6 points, values from
+    a coarse grid so that candidate splits tie, degree up to 1 and minimum
+    leaf size 1 or 2."""
+    m, c, n = draw(st.integers(6, 14)), draw(st.integers(1, 2)), draw(st.integers(3, 6))
+    values = draw(st.lists(st.integers(-2, 2), min_size=m * c * n, max_size=m * c * n))
+    classes = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+    return _grow_case(
+        np.reshape(values, (m, c, n)), classes, draw(st.integers(0, 1)), draw(st.integers(1, 2))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grow_cases())
+# the root holds under A, and its satisfied side, moved onto the witnesses,
+# splits again
+@example(_grow_case(
+    [[[-1, 0, 2]], [[0, -2, -1]], [[1, 2, 1]], [[2, -2, 2]], [[-2, 0, -1]],
+     [[-1, 1, -1]], [[0, -1, -2]], [[1, 0, 1]], [[1, 2, 0]], [[-1, 1, 2]]],
+    [1, 1, 1, 0, 0, 0, 0, 0, 0, 1], 1, 2,
+))
+@example(_grow_case(
+    [[[-1, 2, -1, 1], [-1, 0, 2, -2]], [[1, 0, 1, 1], [-1, 1, 1, 0]],
+     [[-2, 1, -2, 2], [2, 2, -2, 2]], [[2, 0, 2, 1], [1, -2, -2, -1]],
+     [[-1, 0, 2, 1], [0, 0, 1, 1]], [[-2, 1, -2, 0], [0, 2, 1, -2]],
+     [[0, -2, -2, 0], [2, -1, -2, 2]], [[0, -2, 0, -1], [-1, 0, 0, 2]]],
+    [1, 0, 0, 1, 1, 1, 1, 0], 0, 2,
+))
+def test_grow_tree_matches_reference_learner_property(case):
+    dataset, config = case
+    want = oracles.reference_grow_tree(dataset.instances, dataset.class_count, config)
+    assert _tree_shape(grow_tree(dataset, config)) == want
 
 
 def test_grow_tree_single_class_is_leaf():
