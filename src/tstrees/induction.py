@@ -5,9 +5,12 @@ degree 0 on constant two-point series); the general case searches the full
 grid attributes x relations x comparators x alphas x derivative degrees x
 thresholds and keeps the candidate of minimal weighted child entropy.
 
-Candidate evaluation is vectorized per node.  Once per node, each relation's
-successor rectangle (:func:`tstrees.intervals.relation_rectangle`) becomes an
-(instances x intervals) mask.
+Candidate evaluation is vectorized per node.  Once per node and distinct
+reference, each relation's successor rectangle
+(:func:`tstrees.intervals.relation_rectangle`) becomes a mask over the
+intervals.  Intervals that succeed no reference are dropped, and the rest
+of the mask is gathered out to the instances as (intervals x instances), or
+left out when all instances stand on one reference.
 
 Comparators ``<=`` and ``>`` are monotone in the threshold, so they are
 searched by a sweep over sorted values, as C4.5 searches a numeric attribute
@@ -16,16 +19,21 @@ thresholds.  An interval of p data-bearing points satisfies ``A <= t`` at
 alpha exactly when its k-th smallest value is <= t, and ``A > t`` exactly
 when its k-th largest value is > t, with k = ceil(alpha * p).  Nothing is
 sorted: per (attribute, degree), the sorted windows of p + 1 points grow
-from those of p points by inserting one point, and per (comparator, alpha)
-their order statistics go into one packed table (:func:`_order_statistics`).
-On 96 x 6 Gaussian series with the racket-train config (2-vCPU VM), this
-took a root search at N = 150 from 2.1 s and a 17.9 MiB tracemalloc peak
-(sorting every window) to 0.32 s and 15.8 MiB; at N = 30, 35 ms to 24 ms.
-Per (comparator, alpha, relation), one masked min (or max) over
-an instance's successors gives its critical value; per (comparator, alpha),
-cumulative class counts over the critical values give the partition at
-every (relation, threshold) at once.  Only the first threshold of each
-distinct partition is scored.
+from those of p points by inserting one point, start-major so that each
+step is one contiguous run per position, and per (comparator, alpha) their
+order statistics go into one packed (windows x instances) table
+(:func:`_order_statistics`).  Per (comparator, alpha, relation), one plain
+min (or max) down the table rows of the reached intervals gives each
+instance its critical value, once the entries off its mask are bounded to
+the never value; per (comparator, alpha), cumulative class counts over the
+critical values give the partition at every (relation, threshold) at once.
+Only the first threshold of each distinct partition is scored.  On 96 x 6
+Gaussian series with the racket-train config (2-vCPU VM; medians over three
+to six processes of each one's best time), a root search at N = 150 took 2.1 s
+with a 17.9 MiB tracemalloc peak when it sorted every window, 0.35 s with
+15.8 MiB after insertion into (instances x windows) tables reduced under
+(instances x intervals) masks, and takes 0.10 s with 10.8 MiB in this
+layout; at N = 30, 35 ms, 27 ms and 13 ms.
 
 Comparator ``=`` is not monotone and keeps one mask pass per threshold:
 prefix counts give every interval's satisfaction, and an instance satisfies
@@ -38,6 +46,9 @@ The batch lists its rows in (relation order, threshold) order, so its first
 minimum is its canonical winner, and only that winner meets the total
 canonical tie-break across batches; the winner is independent of
 evaluation order.
+
+Growth hands each split node's instances to
+:func:`tstrees.intervals.split_dataset`, which routes them all in one pass.
 """
 
 from __future__ import annotations
@@ -141,9 +152,9 @@ def _order_statistics(
     n: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """For each (comparator, alpha) of ``sweeps``, a packed table of the
-    threshold ranks that decide each instance's windows, and the columns
-    ``at`` such that ``table[:, at]`` is the (m, K) array for the intervals:
-    interval k covers the data-bearing points ``lo[k] .. lo[k] + length[k] - 1``.
+    threshold ranks that decide each instance's windows, and the rows ``at``
+    such that ``table[at]`` is the (K, m) array for the intervals: interval
+    k covers the data-bearing points ``lo[k] .. lo[k] + length[k] - 1``.
 
     A value's rank is the number of thresholds below it, so ``x <= t_j`` iff
     rank <= j and ``x > t_j`` iff rank > j.  An interval of p points
@@ -151,28 +162,31 @@ def _order_statistics(
     ``A > t_j`` iff its k-th largest rank is > j, with
     k = ``required_counts(alpha, n)[p]``.  Nothing is sorted: the sorted
     windows of p + 1 points come from those of p points by inserting the
-    next point x, as ``min(w[j], max(w[j - 1], x))`` at each position j, and
-    are kept plane-major (position, instance, start) so that every order
-    statistic is a basic slice.  Table column ``offset[p] + i`` holds the
-    p-point window from point i + 1; column 0 is the empty window, with rank
-    t (resp. -1), which never holds.  Ranks and tables use the smallest
-    integer type that holds -t - 1 .. t (int8 for up to 127 thresholds).
+    next point x, as ``min(w[j], max(w[j - 1], x))`` at each position j.
+    They are kept start-major, (position, start, instance), with the ranks
+    taken from ``deriv.T``, so that each insertion step runs over one
+    contiguous block of (N - p) * m values per position and every order
+    statistic is a basic slice.  Table row ``offset[p] + i`` holds the
+    p-point windows from point i + 1, one column per instance; row 0 is the
+    empty window, with rank t (resp. -1), which never holds.  Ranks and
+    tables use the smallest integer type that holds -t - 1 .. t (int8 for
+    up to 127 thresholds).
     """
     m, points = deriv.shape
     t = len(thresholds)
     dtype = np.min_scalar_type(-t - 1)
     # np.add.accumulate, not np.cumsum, for the reason given in best_split
     offset = np.concatenate(([0, 1], 1 + np.add.accumulate(np.arange(points, 0, -1))))
-    ranks = np.searchsorted(thresholds, deriv, side="left").astype(dtype)
+    ranks = np.searchsorted(thresholds, deriv.T, side="left").astype(dtype)
     tables = [
-        np.full((m, offset[-1]), t if comparator is Comparator.LE else -1, dtype=dtype)
+        np.full((offset[-1], m), t if comparator is Comparator.LE else -1, dtype=dtype)
         for comparator, _ in sweeps
     ]
-    window = ranks[None]  # window[j, i, s]: j-th smallest of the window from s
+    window = ranks[None]  # window[j, s, i]: j-th smallest of i's window from s
     for size in range(1, points + 1):
         if size > 1:
-            x, kept = ranks[:, size - 1 :], window[:, :, :-1]
-            grown = np.empty((size, m, x.shape[1]), dtype=dtype)
+            x, kept = ranks[size - 1 :], window[:, :-1]
+            grown = np.empty((size, *x.shape), dtype=dtype)
             grown[0] = x
             np.maximum(kept, x, out=grown[1:])
             np.minimum(grown[:-1], kept, out=grown[:-1])
@@ -180,7 +194,7 @@ def _order_statistics(
         for (comparator, alpha), table in zip(sweeps, tables):
             k = required_counts(alpha, n)[size]
             j = k - 1 if comparator is Comparator.LE else size - k
-            table[:, offset[size] : offset[size + 1]] = window[j]
+            table[offset[size] : offset[size + 1]] = window[j]
     return tables, np.where(length > 0, offset[length] + lo - 1, 0)
 
 
@@ -235,19 +249,25 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
         return None
     n = instances[0].series_length
 
-    # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order,
-    # and per relation, in rank order, an (m, K) mask of each reference's
-    # successors; a relation without successors for any instance holds
+    # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order;
+    # per relation, in rank order, the indices ``reach`` of the intervals
+    # that succeed some reference, and the (reach, m) mask of each
+    # instance's successors among them, built once per distinct reference
+    # and gathered out to the instances (None when all instances stand on
+    # one reference, so that each reached interval succeeds every
+    # instance); a relation without successors for any instance holds
     # nowhere, and since min_leaf_size >= 1 it has no admissible candidate
     u, v = np.triu_indices(n + 1, k=1)
-    ref_x = np.array([[inst.reference.x] for inst in instances])
-    ref_y = np.array([[inst.reference.y] for inst in instances])
+    refs = np.array([inst.reference.x * (n + 1) + inst.reference.y for inst in instances])
+    distinct, back = np.unique(refs, return_inverse=True)
+    ref_x, ref_y = np.divmod(distinct, n + 1)
     masks = []
     for rel in sorted(config.relations, key=lambda r: r.rank):
         r1, r2, c1, c2 = relation_rectangle(rel, ref_x, ref_y, n)
-        mask = (r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2)
-        if mask.any():
-            masks.append((rel, mask))
+        mask = (r1 <= u[:, None]) & (u[:, None] <= r2) & (c1 <= v[:, None]) & (v[:, None] <= c2)
+        reach = np.flatnonzero(mask.any(axis=1))
+        if reach.size:
+            masks.append((rel, reach, mask[reach][:, back] if distinct.size > 1 else None))
     if not masks:
         return None
 
@@ -312,17 +332,18 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                 # not monotone in the threshold: one mask pass per threshold;
                 # held[a, r, j, i]: instance i satisfies the modality of
                 # masks[r] at thresholds[j] and alpha_grid[a]
-                req = [required_counts(a, n)[length] for a in config.alpha_grid]
+                req = [required_counts(a, n)[length, None] for a in config.alpha_grid]
                 held = np.empty((len(req), len(masks), t, m), dtype=bool)
-                cum = np.zeros((m, n - z + 1), dtype=np.int64)
+                cum = np.zeros((n - z + 1, m), dtype=np.int64)
                 for j, a_thr in enumerate(thresholds):
-                    point_ok = compare_values(deriv, Comparator.EQ, a_thr, config.eq_tolerance)
-                    np.add.accumulate(point_ok, axis=1, out=cum[:, 1:])
-                    counts = cum[:, hi] - cum[:, lo - 1]
+                    point_ok = compare_values(deriv.T, Comparator.EQ, a_thr, config.eq_tolerance)
+                    np.add.accumulate(point_ok, axis=0, out=cum[1:])
+                    counts = cum[hi] - cum[lo - 1]
                     for a, need in enumerate(req):
                         sat = counts >= need
-                        for r, (_, mask) in enumerate(masks):
-                            held[a, r, j] = (sat & mask).any(axis=1)
+                        for r, (_, reach, mask) in enumerate(masks):
+                            hit = sat[reach] if mask is None else sat[reach] & mask
+                            held[a, r, j] = hit.any(axis=0)
                 one_hot = (classes[:, None] == np.arange(q)).astype(np.intp)
                 for alpha, rows in zip(config.alpha_grid, held):
                     c1 = rows @ one_hot
@@ -333,19 +354,35 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             if not sweeps:
                 continue
             tables, at = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
+            # per relation, the table rows of its reached intervals and, when
+            # the references differ, bounds that turn every entry off an
+            # instance's mask into the never value: np.maximum with the first
+            # (0 on the mask, t off it) for <=, np.minimum with the second (t
+            # on, -1 off) for >.  A plain reduction of the bounded rows then
+            # equals the masked one, without the branching that a where=
+            # reduction (or np.where) pays on scattered masks.
+            reached = []
+            for _, reach, mask in masks:
+                if mask is None:
+                    reached.append((at[reach], None))
+                    continue
+                off = (~mask).astype(tables[0].dtype)
+                reached.append((at[reach], (off * t, off * (-t - 1) + t)))
             # bincount offsets: row (r, rank + 1, class) of a (R, t + 2, q) table
             base = (np.arange(len(masks)) * (t + 2) + 1)[:, None] * q + classes
             for (comparator, alpha), table in zip(sweeps, tables):
-                stat = table[:, at]
                 smallest = comparator is Comparator.LE
                 reduce = np.minimum.reduce if smallest else np.maximum.reduce
-                never = t if smallest else -1
+                bound, side = (np.maximum, 0) if smallest else (np.minimum, 1)
                 # crit[r, i]: instance i's critical rank under masks[r]; it
                 # satisfies the modality at thresholds[j] iff crit <= j
                 # (resp. > j)
-                crit = np.stack(
-                    [reduce(stat, axis=1, where=mask, initial=never) for _, mask in masks]
-                )
+                crit = np.empty((len(masks), m), dtype=table.dtype)
+                for r, (rows, bounds) in enumerate(reached):
+                    stat = table[rows]
+                    if bounds is not None:
+                        bound(stat, bounds[side], out=stat)
+                    reduce(stat, axis=0, out=crit[r])
                 # le[r, j, c]: instances of class c whose critical rank under
                 # masks[r] is <= j
                 bins = (base + q * crit.astype(np.intp)).ravel()

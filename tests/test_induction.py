@@ -241,6 +241,68 @@ def test_best_split_matches_exhaustive_enumeration_property(node):
     assert (key, got.partition_sizes) == want
 
 
+@st.composite
+def _pooled_nodes(draw):
+    """Four to twelve instances of one or two channels over 4 to 7 points,
+    each on one of a pool of 2 or 3 reference intervals, so that a successor
+    mask is shared by several instances beside other masks; and a config
+    with every relation and comparator, degree up to 1 and a tolerance that
+    lets ``=`` hold.  Values come from a coarse grid so that candidate
+    splits tie."""
+    n = draw(st.integers(4, 7))
+    c = draw(st.integers(1, 2))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    pool = draw(st.lists(interval, min_size=2, max_size=3, unique=True))
+    instances = [
+        Instance(
+            np.array(draw(st.lists(st.integers(-2, 2), min_size=c * n, max_size=c * n)),
+                     dtype=np.float64).reshape(c, n) / 2,
+            draw(st.integers(0, 2)),
+            reference=draw(st.sampled_from(pool)),
+        )
+        for _ in range(draw(st.integers(4, 12)))
+    ]
+    config = LearnerConfig(
+        alpha_grid=tuple(sorted(draw(st.sets(st.sampled_from((0.5, 0.7, 1.0)), min_size=1)))),
+        max_derivative=draw(st.integers(0, 1)),
+        relations=tuple(Rel),
+        comparators=tuple(Comparator),
+        min_leaf_size=draw(st.integers(1, 2)),
+        eq_tolerance=draw(st.sampled_from((0.0, 0.25))),
+    )
+    return instances, config
+
+
+def _wide_pooled_node():
+    """Twenty 7-point series of 140 distinct values on three references: 139
+    thresholds, so the order-statistic tables and the mask bounds are
+    int16."""
+    values = (np.arange(140) * 53 % 140).reshape(20, 1, 7).astype(np.float64)
+    pool = (Interval(0, 1), Interval(2, 4), Interval(1, 6))
+    instances = [Instance(row, i % 3, reference=pool[i % 3]) for i, row in enumerate(values)]
+    config = LearnerConfig(alpha_grid=(0.5,), relations=tuple(Rel), min_leaf_size=2,
+                           max_threshold_candidates=200)
+    return instances, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pooled_nodes())
+@example(_wide_pooled_node())
+def test_best_split_matches_exhaustive_enumeration_on_pooled_references_property(node):
+    instances, config = node
+    got = best_split(instances, config)
+    want = oracles.exhaustive_best_split(instances, config)
+    if want is None:
+        assert got is None
+        return
+    d = got.decision
+    key = (got.split_info, d.attribute_index, d.relation.rank, d.comparator.rank,
+           d.threshold, d.alpha, d.derivative_degree)
+    assert (key, got.partition_sizes) == want
+
+
 def test_best_split_keeps_no_memory_between_calls():
     """Live memory after 50 searches on one node stays within 256 B per call
     of what it was after 5 warm-up searches, for a ``<=``/``>`` config and
@@ -345,7 +407,7 @@ _SHUFFLED = (np.arange(160) * 37 % 160).reshape(4, 40).astype(np.float64)
 @example((_SHUFFLED, 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
 @example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1), 0, 100, [1.0]))  # j48's static path
 def test_order_statistic_tables_equal_sorted_windows_property(node):
-    """Each sweep's ``table[:, at]`` holds, per instance and interval, the
+    """Each sweep's ``table[at]`` holds, per interval and instance, the
     k-th smallest (``<=``) or k-th largest (``>``) threshold rank of the
     interval's data-bearing points, and the never value on an empty one."""
     series, z, cap, alphas = node
@@ -373,7 +435,7 @@ def test_order_statistic_tables_equal_sorted_windows_property(node):
             want[s, :, col] = window[:, k - 1] if smallest else window[:, p - k]
     for table, rows in zip(tables, want):
         assert table.dtype == np.min_scalar_type(-t - 1)
-        assert (table[:, at] == rows).all()
+        assert (table[at].T == rows).all()
 
 
 @st.composite

@@ -297,3 +297,70 @@ def test_split_dataset_properties(rng):
                 o for o in ds.instances if o.channels is kept.channels
             )
             assert kept.reference == src.reference
+
+
+@st.composite
+def _routing_batches(draw):
+    """1 to 20 instances of one 2- to 8-point channel, each standing on one
+    of a pool of 1 to 3 reference intervals, so that a batch has repeated
+    and distinct references; and a decision of any relation and comparator
+    with degree up to 1.  Values and thresholds come from coarse grids so
+    that they coincide."""
+    n = draw(st.integers(2, 8))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    pool = draw(st.lists(interval, min_size=1, max_size=3, unique=True))
+    instances = [
+        Instance(
+            np.array([draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]) / 2,
+            draw(st.integers(0, 1)),
+            reference=draw(st.sampled_from(pool)),
+        )
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    decision = TemporalDecision(
+        relation=draw(st.sampled_from(list(Rel))),
+        attribute_index=0,
+        derivative_degree=draw(st.integers(0, min(1, n - 1))),
+        comparator=draw(st.sampled_from(list(Comparator))),
+        threshold=draw(st.integers(-6, 6)) / 4,
+        alpha=draw(st.sampled_from((0.3, 0.5, 0.7, 1.0))),
+        eq_tolerance=draw(st.sampled_from((0.0, 0.25))),
+    )
+    return instances, decision
+
+
+@settings(max_examples=300, deadline=None)
+@given(_routing_batches())
+@example(([Instance(_SEVEN_OF_TEN.copy(), 0, reference=Interval(0, 1)),
+           Instance(_SEVEN_OF_TEN[:, ::-1].copy(), 1, reference=Interval(0, 1)),
+           Instance(_SEVEN_OF_TEN.copy(), 1, reference=Interval(2, 5))],
+          TemporalDecision(Rel.BI, 0, 0, Comparator.GT, 0.5, 0.7)))
+def test_split_dataset_matches_slow_check_property(batch):
+    """The batched route agrees with the definition instance by instance,
+    keeps input order on each side, returns fresh copies that share the
+    channels, never moves an eq reference, and agrees with
+    ``check_decision`` on one-instance batches."""
+    instances, decision = batch
+    t1, t2 = split_dataset(instances, decision)
+    want = [oracles.slow_check(inst, decision) for inst in instances]
+    held = [(inst, witness) for inst, (ok, witness) in zip(instances, want) if ok]
+    failed = [inst for inst, (ok, _) in zip(instances, want) if not ok]
+    assert (len(t1), len(t2)) == (len(held), len(failed))
+    for copy, (inst, witness) in zip(t1, held):
+        assert copy is not inst and copy.channels is inst.channels
+        assert copy.class_index == inst.class_index
+        if decision.relation is Rel.EQ:
+            assert witness is None and copy.reference == inst.reference
+        else:
+            assert (copy.reference.x, copy.reference.y) == witness
+    for copy, inst in zip(t2, failed):
+        assert copy is not inst and copy.channels is inst.channels
+        assert (copy.class_index, copy.reference) == (inst.class_index, inst.reference)
+    for inst in instances:
+        result = check_decision(inst, decision)
+        alone = split_dataset([inst], decision)
+        assert (len(alone[0]), len(alone[1])) == ((1, 0) if result.satisfied else (0, 1))
+        if result.witness is not None:
+            assert alone[0][0].reference == result.witness
