@@ -7,6 +7,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -62,6 +63,8 @@ def _parse_alpha_spec(specs: Sequence[str]) -> tuple[float, ...]:
                 if len(parts) != 3:
                     raise UsageError(f"alpha range must be a:b:step, got {chunk!r}")
                 lo, hi, step = (float(p) for p in parts)
+                if not all(map(math.isfinite, (lo, hi, step))):  # the loop would not end
+                    raise UsageError(f"alpha range parts must be finite numbers, got {chunk!r}")
                 if step <= 0:
                     raise UsageError("alpha range step must be positive")
                 k = 0
@@ -87,6 +90,8 @@ _COMPARATOR_TOKENS = {
     "le": Comparator.LE,
     ">": Comparator.GT,
     "gt": Comparator.GT,
+    "=": Comparator.EQ,  # refused by LearnerConfig, with its reason
+    "eq": Comparator.EQ,
 }
 
 
@@ -114,12 +119,6 @@ def _parse_comparators(spec: str) -> tuple[Comparator, ...]:
         token = token.strip().lower()
         if not token:
             continue
-        if token in ("=", "eq"):
-            raise UsageError(
-                "comparator '=' cannot be trained: split thresholds lie strictly "
-                "between observed values and no tolerance is set, so 'x = t' "
-                "never holds on the training data"
-            )
         if token not in _COMPARATOR_TOKENS:
             raise UsageError(f"unknown comparator {token!r}")
         cmp = _COMPARATOR_TOKENS[token]

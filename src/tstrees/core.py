@@ -75,16 +75,11 @@ _TRANSPOSE = {
 #: All thirteen relations in canonical order.
 FULL_HS: tuple[IntervalRelation, ...] = tuple(IntervalRelation)
 
-#: The six forward Allen modalities and their six inverses (no eq).
-MODAL_RELATIONS: tuple[IntervalRelation, ...] = tuple(
-    r for r in IntervalRelation if r is not IntervalRelation.EQ
-)
-
-
 class Comparator(Enum):
     """Point comparators usable in a decision.  ``>`` is not the negation of
     ``<=`` once an existential modality wraps the condition, so all three are
-    first-class."""
+    first-class in decisions, model files and rendering.  The learner
+    searches ``<=`` and ``>`` only (see :class:`LearnerConfig`)."""
 
     LE = "<="
     EQ = "="
@@ -366,7 +361,9 @@ class LearnerConfig:
 
     ``alpha_grid`` with a single entry reproduces a fixed-alpha run; with
     several entries alpha becomes a per-decision search axis.  ``relations``
-    defaults to the full set of thirteen.
+    defaults to the full set of thirteen.  ``comparators`` may hold ``<=``
+    and ``>``; ``=`` is refused, since split thresholds lie strictly between
+    observed values, where ``x = t`` never holds.
     """
 
     alpha_grid: tuple[float, ...] = (1.0,)
@@ -376,7 +373,6 @@ class LearnerConfig:
     min_leaf_size: int = 2
     purity_threshold: float = 0.0
     max_threshold_candidates: int = 100
-    eq_tolerance: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.alpha_grid:
@@ -388,6 +384,11 @@ class LearnerConfig:
             raise ValueError("relations must not be empty")
         if not self.comparators:
             raise ValueError("comparators must not be empty")
+        if Comparator.EQ in self.comparators:
+            raise ValueError(
+                "comparator '=' cannot be trained: split thresholds lie strictly "
+                "between observed values, so 'x = t' never holds on the training data"
+            )
         if self.min_leaf_size < 1:
             raise ValueError("min_leaf_size must be >= 1")
         if self.max_derivative < 0:

@@ -12,32 +12,29 @@ intervals.  Intervals that succeed no reference are dropped, and the rest
 of the mask is gathered out to the instances as (intervals x instances), or
 left out when all instances stand on one reference.
 
-Comparators ``<=`` and ``>`` are monotone in the threshold, so they are
-searched by a sweep over sorted values, as C4.5 searches a numeric attribute
-(Quinlan 1993).  Each point value is replaced by its rank among the sorted candidate
-thresholds.  An interval of p data-bearing points satisfies ``A <= t`` at
-alpha exactly when its k-th smallest value is <= t, and ``A > t`` exactly
-when its k-th largest value is > t, with k = ceil(alpha * p).  Nothing is
-sorted: per (attribute, degree), the sorted windows of p + 1 points grow
-from those of p points by inserting one point, start-major so that each
-step is one contiguous run per position, and per (comparator, alpha) their
-order statistics go into one packed (windows x instances) table
-(:func:`_order_statistics`).  Per (comparator, alpha, relation), one plain
-min (or max) down the table rows of the reached intervals gives each
-instance its critical value, once the entries off its mask are bounded to
-the never value; per (comparator, alpha), cumulative class counts over the
-critical values give the partition at every (relation, threshold) at once.
-Only the first threshold of each distinct partition is scored.  On 96 x 6
-Gaussian series with the racket-train config (2-vCPU VM; medians over three
-to six processes of each one's best time), a root search at N = 150 took 2.1 s
-with a 17.9 MiB tracemalloc peak when it sorted every window, 0.35 s with
-15.8 MiB after insertion into (instances x windows) tables reduced under
-(instances x intervals) masks, and takes 0.10 s with 10.8 MiB in this
-layout; at N = 30, 35 ms, 27 ms and 13 ms.
-
-Comparator ``=`` is not monotone and keeps one mask pass per threshold:
-prefix counts give every interval's satisfaction, and an instance satisfies
-the modality when some satisfied interval lies under its mask.
+The learner searches the comparators ``<=`` and ``>`` only (``=`` is refused
+by :class:`tstrees.core.LearnerConfig`).  Both are monotone in the
+threshold, so they are searched by a sweep over sorted values, as C4.5
+searches a numeric attribute (Quinlan 1993).  Each point value is replaced
+by its rank among the sorted candidate thresholds.  An interval of p
+data-bearing points satisfies ``A <= t`` at alpha exactly when its k-th
+smallest value is <= t, and ``A > t`` exactly when its k-th largest value
+is > t, with k = ceil(alpha * p).  Nothing is sorted: per (attribute, degree),
+the sorted windows of p + 1 points grow from those of p points by inserting
+one point, start-major so that each step is one contiguous run per position,
+and per (comparator, alpha) their order statistics go into one packed
+(windows x instances) table (:func:`_order_statistics`).  Per (comparator,
+alpha, relation), one plain min (or max) down the table rows of the reached
+intervals gives each instance its critical value, once the entries off its
+mask are bounded to the never value; per (comparator, alpha), cumulative
+class counts over the critical values give the partition at every (relation,
+threshold) at once.  Only the first threshold of each distinct partition is
+scored.  On 96 x 6 Gaussian series with the racket-train config (2-vCPU VM;
+medians over three to six processes of each one's best time), a root search
+at N = 150 took 2.1 s with a 17.9 MiB tracemalloc peak when it sorted every
+window, 0.35 s with 15.8 MiB after insertion into (instances x windows)
+tables reduced under (instances x intervals) masks, and takes 0.10 s with
+10.8 MiB in this layout; at N = 30, 35 ms, 27 ms and 13 ms.
 
 Candidates are scored in batches.  Each (attribute, degree, comparator,
 alpha) yields one batch of satisfying-side class counts, scored in one array
@@ -74,7 +71,6 @@ from .core import (
 )
 from .intervals import (
     check_decision,
-    compare_values,
     point_spans,
     relation_rectangle,
     required_counts,
@@ -305,18 +301,12 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                 comparator=comparator,
                 threshold=key[4],
                 alpha=alpha,
-                eq_tolerance=config.eq_tolerance,
             ),
             split_info=key[0],
             partition_sizes=(n1, m - n1),
         )
 
-    sweeps = [
-        (comparator, alpha)
-        for comparator in config.comparators
-        if comparator is not Comparator.EQ
-        for alpha in config.alpha_grid
-    ]
+    sweeps = [(cmp, alpha) for cmp in config.comparators for alpha in config.alpha_grid]
     for attr in range(channels.shape[1]):
         deriv = channels[:, attr, :]
         for z in range(0, min(config.max_derivative, n - 1) + 1):
@@ -328,31 +318,6 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             t = len(thresholds)
             lo, hi = point_spans(u, v, n, z)
             length = hi - lo + 1
-            if Comparator.EQ in config.comparators:
-                # not monotone in the threshold: one mask pass per threshold;
-                # held[a, r, j, i]: instance i satisfies the modality of
-                # masks[r] at thresholds[j] and alpha_grid[a]
-                req = [required_counts(a, n)[length, None] for a in config.alpha_grid]
-                held = np.empty((len(req), len(masks), t, m), dtype=bool)
-                cum = np.zeros((n - z + 1, m), dtype=np.int64)
-                for j, a_thr in enumerate(thresholds):
-                    point_ok = compare_values(deriv.T, Comparator.EQ, a_thr, config.eq_tolerance)
-                    np.add.accumulate(point_ok, axis=0, out=cum[1:])
-                    counts = cum[hi] - cum[lo - 1]
-                    for a, need in enumerate(req):
-                        sat = counts >= need
-                        for r, (_, reach, mask) in enumerate(masks):
-                            hit = sat[reach] if mask is None else sat[reach] & mask
-                            held[a, r, j] = hit.any(axis=0)
-                one_hot = (classes[:, None] == np.arange(q)).astype(np.intp)
-                for alpha, rows in zip(config.alpha_grid, held):
-                    c1 = rows @ one_hot
-                    sizes = c1.sum(axis=2)
-                    rel_at, thr_at = np.nonzero((sizes >= low) & (sizes <= high))
-                    consider(c1[rel_at, thr_at], rel_at, thr_at, thresholds,
-                             attr, Comparator.EQ, alpha, z)
-            if not sweeps:
-                continue
             tables, at = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
             # per relation, the table rows of its reached intervals and, when
             # the references differ, bounds that turn every entry off an

@@ -28,7 +28,9 @@ from .core import (
 MODEL_FORMAT = "tstrees-model"
 MODEL_VERSION = 2
 # Version 1 also stored a witness policy and a seed, neither of which ever
-# changed a tree; they are ignored on load.
+# changed a tree; they are ignored on load.  So is the config's
+# ``eq_tolerance``: the learner has none, since it never searches ``=``.  It
+# is written as 0.0 so that model files keep their layout.
 READABLE_VERSIONS = (1, MODEL_VERSION)
 
 
@@ -108,7 +110,7 @@ def _config_to_dict(config: LearnerConfig) -> dict:
         "min_leaf_size": config.min_leaf_size,
         "purity_threshold": config.purity_threshold,
         "max_threshold_candidates": config.max_threshold_candidates,
-        "eq_tolerance": config.eq_tolerance,
+        "eq_tolerance": 0.0,
     }
 
 
@@ -122,7 +124,6 @@ def _config_from_dict(obj: dict) -> LearnerConfig:
             min_leaf_size=int(obj["min_leaf_size"]),
             purity_threshold=float(obj["purity_threshold"]),
             max_threshold_candidates=int(obj["max_threshold_candidates"]),
-            eq_tolerance=float(obj.get("eq_tolerance", 0.0)),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise DataFormatError(f"malformed config in model file: {exc}") from exc

@@ -231,9 +231,7 @@ def exhaustive_best_split(instances, config):
             for comparator in config.comparators:
                 for thr in thresholds:
                     for alpha in config.alpha_grid:
-                        sat = checker.interval_sat(
-                            attr, z, comparator, thr, alpha, config.eq_tolerance
-                        )
+                        sat = checker.interval_sat(attr, z, comparator, thr, alpha)
                         for rel in config.relations:
                             if rel is Rel.EQ:
                                 satisfied = sat[np.arange(m), checker.ref_idx]
@@ -284,7 +282,6 @@ def reference_grow_tree(instances, q, config):
         comparator=next(c for c in Comparator if c.rank == cmp_rank),
         threshold=thr,
         alpha=alpha,
-        eq_tolerance=config.eq_tolerance,
     )
     satisfied, unsatisfied = [], []
     for inst in instances:

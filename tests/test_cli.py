@@ -1,10 +1,20 @@
 import json
+import signal
 
 import numpy as np
 import pytest
 
 from tstrees.cli import build_parser, main
-from tstrees.core import Instance, LearnerConfig, TemporalDataset
+from tstrees.core import (
+    Comparator,
+    Instance,
+    IntervalRelation as Rel,
+    Leaf,
+    LearnerConfig,
+    Node,
+    TemporalDataset,
+    TemporalDecision,
+)
 from tstrees.dataio import serialize_semicolon_table
 from tstrees.induction import classify, confusion, grow_tree
 from tstrees.model import (
@@ -188,6 +198,50 @@ def test_predict_reproduces_training_labels(tmp_path, capsys):
     assert out.splitlines() == names
 
 
+def test_predict_refuses_a_model_whose_config_lists_eq_exits_2(tmp_path, capsys):
+    ds = separable_dataset()
+    data = write_dataset(tmp_path, ds)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    payload["config"]["comparators"] = ["LE", "EQ", "GT"]
+    model_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and "malformed config" in err
+
+
+def test_model_with_eq_decisions_round_trips_and_predicts(tmp_path, capsys):
+    """Decisions may still use ``=`` with a tolerance: such a model saves
+    back byte-identically, and ``predict`` routes as :func:`classify` does.
+    At the root, [0, 1] holds its first point, which is 9 + 0.01 i for the
+    Hi series; the L-successors of [0, 1] hold 1 + 0.01 i at point 4 for
+    the Lo series, which lies within 0.125 of 1.17 only for i = 6."""
+    ds = separable_dataset()
+    tree = Node(
+        TemporalDecision(Rel.EQ, 0, 0, Comparator.EQ, 9.0, 1.0, eq_tolerance=0.125),
+        Leaf(1, (0, 4)),
+        Node(
+            TemporalDecision(Rel.L, 0, 0, Comparator.EQ, 1.17, 0.5, eq_tolerance=0.125),
+            Leaf(1, (0, 2)),
+            Leaf(0, (3, 0)),
+        ),
+    )
+    model_path = tmp_path / "model.json"
+    save_model(model_path, ModelBundle(tree, ds.attribute_names, ds.class_names, 4, LearnerConfig()))
+    first = model_path.read_bytes()
+    loaded = load_model(model_path)
+    assert loaded.tree == tree
+    save_model(model_path, loaded)
+    assert model_path.read_bytes() == first
+    data = write_dataset(tmp_path, ds)
+    assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 0
+    predicted = capsys.readouterr().out.splitlines()
+    assert predicted == [ds.class_names[classify(tree, inst)[0]] for inst in ds.instances]
+    assert predicted == ["Lo", "Hi", "Lo", "Hi", "Lo", "Hi", "Hi", "Hi"]
+
+
 def test_predict_dimension_mismatch_exits_2(tmp_path, capsys):
     ds = separable_dataset()
     data = write_dataset(tmp_path, ds)
@@ -295,6 +349,31 @@ def test_usage_error_exits_1(tmp_path, capsys):
             assert main([*command, *option]) == 1
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("usage error: ") and reason in err
+
+
+def test_non_finite_alpha_range_exits_1(capsys):
+    """A range with a NaN or infinite part is refused before any data is
+    read.  Such a range once made the range loop run forever; an alarm turns
+    a return that never comes into a failure."""
+
+    def hang(signum, frame):
+        raise TimeoutError("the alpha range was not refused")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for spec in ("0.5:1:nan", "nan:1:0.1", "0.5:inf:0.1", "-inf:1:0.1", "0.5:1:inf"):
+            for command in (
+                ["train", "--data", "/nonexistent.csv", f"--alpha={spec}"],
+                ["compare", "--data", "/nonexistent.ts", "--methods", f"tj48:{spec}"],
+                ["bench", "--data-dir", "/nonexistent", "--methods", f"ed-i,tj48:{spec}"],
+            ):
+                assert main(command) == 1, command
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("usage error: ") and "finite" in err, err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_missing_file_exits_2(capsys):

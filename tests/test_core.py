@@ -141,6 +141,14 @@ def test_learner_config_validation():
         LearnerConfig(min_leaf_size=0)
 
 
+def test_learner_config_refuses_the_eq_comparator():
+    """The learner searches ``<=`` and ``>`` only: its thresholds lie between
+    observed values, where ``=`` never holds."""
+    for comparators in ((Comparator.EQ,), (Comparator.LE, Comparator.EQ, Comparator.GT)):
+        with pytest.raises(ValueError, match="never holds on the training data"):
+            LearnerConfig(comparators=comparators)
+
+
 def test_instance_reference_copy_shares_channels():
     inst = Instance(np.zeros((1, 4)), 0)
     moved = inst.with_reference(Interval(1, 3))

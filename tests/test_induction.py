@@ -138,13 +138,18 @@ def test_best_split_matches_exhaustive_enumeration(rng):
         assert (d.threshold, d.alpha, d.derivative_degree) == (thr, alpha, z)
 
 
+# the comparators the learner searches: a non-empty subset of <= and >, in rank order
+_learner_comparators = st.sampled_from(
+    ((Comparator.LE,), (Comparator.GT,), (Comparator.LE, Comparator.GT))
+)
+
+
 @st.composite
 def _nodes(draw):
     """Two to eight instances of two channels over 2 or 3 points, each on a
     random reference interval, so that most successor sets are empty; and a
-    config with every relation and comparator, degree up to N - 1 and a
-    tolerance that lets ``=`` hold.  Values come from a coarse grid so that
-    candidate splits tie."""
+    config with every relation, ``<=``, ``>`` or both, and degree up to
+    N - 1.  Values come from a coarse grid so that candidate splits tie."""
     n = draw(st.sampled_from((2, 3)))
     instances = []
     for _ in range(draw(st.integers(2, 8))):
@@ -158,9 +163,8 @@ def _nodes(draw):
         alpha_grid=tuple(sorted(alphas)),
         max_derivative=draw(st.integers(0, n - 1)),
         relations=tuple(Rel),
-        comparators=tuple(Comparator),
+        comparators=draw(_learner_comparators),
         min_leaf_size=draw(st.integers(1, 2)),
-        eq_tolerance=draw(st.sampled_from((0.0, 0.25))),
     )
     return instances, config
 
@@ -246,9 +250,8 @@ def _pooled_nodes(draw):
     """Four to twelve instances of one or two channels over 4 to 7 points,
     each on one of a pool of 2 or 3 reference intervals, so that a successor
     mask is shared by several instances beside other masks; and a config
-    with every relation and comparator, degree up to 1 and a tolerance that
-    lets ``=`` hold.  Values come from a coarse grid so that candidate
-    splits tie."""
+    with every relation, ``<=``, ``>`` or both, and degree up to 1.  Values
+    come from a coarse grid so that candidate splits tie."""
     n = draw(st.integers(4, 7))
     c = draw(st.integers(1, 2))
     interval = st.integers(0, n - 1).flatmap(
@@ -268,9 +271,8 @@ def _pooled_nodes(draw):
         alpha_grid=tuple(sorted(draw(st.sets(st.sampled_from((0.5, 0.7, 1.0)), min_size=1)))),
         max_derivative=draw(st.integers(0, 1)),
         relations=tuple(Rel),
-        comparators=tuple(Comparator),
+        comparators=draw(_learner_comparators),
         min_leaf_size=draw(st.integers(1, 2)),
-        eq_tolerance=draw(st.sampled_from((0.0, 0.25))),
     )
     return instances, config
 
@@ -305,61 +307,29 @@ def test_best_split_matches_exhaustive_enumeration_on_pooled_references_property
 
 def test_best_split_keeps_no_memory_between_calls():
     """Live memory after 50 searches on one node stays within 256 B per call
-    of what it was after 5 warm-up searches, for a ``<=``/``>`` config and
-    for one whose ``=`` path wins.  Before each reading, a full collection
-    and a cleared type cache release what CPython keeps on its own: free
-    lists, and the attribute names numpy's C code creates afresh on some
-    method calls, which the type cache holds (bounded, not leaked)."""
+    of what it was after 5 warm-up searches.  Before each reading, a full
+    collection and a cleared type cache release what CPython keeps on its
+    own: free lists, and the attribute names numpy's C code creates afresh on
+    some method calls, which the type cache holds (bounded, not leaked)."""
     rng = np.random.default_rng(11)
     instances = [
         Instance(np.round(rng.normal(size=(2, 12)), 1), i % 3) for i in range(24)
     ]
-    configs = (
-        LearnerConfig(alpha_grid=(0.6, 0.9)),
-        LearnerConfig(alpha_grid=(0.6, 0.9), comparators=tuple(Comparator), eq_tolerance=0.1),
-    )
+    config = LearnerConfig(alpha_grid=(0.6, 0.9))
 
     def live_bytes():
         gc.collect()
         sys._clear_type_cache()
         return tracemalloc.get_traced_memory()[0]
 
-    for config in configs:
-        for _ in range(5):
-            best_split(instances, config)
-        tracemalloc.start()
-        try:
-            before = live_bytes()
-            for _ in range(50):
-                best_split(instances, config)
-            growth = live_bytes() - before
-        finally:
-            tracemalloc.stop()
-        assert growth / 50 < 256
-
-
-def test_best_split_eq_path_keeps_no_memory_between_calls():
-    """Live memory after 50 searches whose ``=`` path runs stays within
-    256 B per call of what it was after 5 warm-up searches, with the type
-    cache left as it is: the prefix counts of the ``=`` path must not leave
-    fresh attribute names in it on every call."""
-    rng = np.random.default_rng(11)
-    instances = [
-        Instance(np.round(rng.normal(size=(2, 12)), 1), i % 3) for i in range(24)
-    ]
-    config = LearnerConfig(
-        alpha_grid=(0.5, 1.0), comparators=tuple(Comparator), eq_tolerance=0.1
-    )
     for _ in range(5):
         best_split(instances, config)
     tracemalloc.start()
     try:
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
+        before = live_bytes()
         for _ in range(50):
             best_split(instances, config)
-        gc.collect()
-        growth = tracemalloc.get_traced_memory()[0] - before
+        growth = live_bytes() - before
     finally:
         tracemalloc.stop()
     assert growth / 50 < 256
