@@ -4,7 +4,6 @@ Euclidean, independent DTW, dependent DTW)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,41 +47,43 @@ class FeatureMask:
         ]
 
 
-def _channel_stats(values: np.ndarray, mask: FeatureMask) -> list[float]:
-    n = values.shape[0]
-    mean = float(values.sum() / n)
-    centered = values - mean
-    m2 = float((centered**2).sum() / n)
-    std = math.sqrt(m2)
-    out: list[float] = []
-    if mask.mean:
-        out.append(mean)
-    if mask.std:
-        out.append(std)
-    if mask.skewness:
-        # population skewness; 0 by convention on constant channels
-        out.append(float((centered**3).sum() / n) / std**3 if std > 0 else 0.0)
-    if mask.kurtosis:
-        out.append(float((centered**4).sum() / n) / std**4 if std > 0 else 0.0)
-    return out
+def _stack(instances: Sequence[Instance]) -> np.ndarray:
+    """The (r, c, n) array of r instances' channels."""
+    return np.stack([inst.channels for inst in instances])
+
+
+def _features(stacked: np.ndarray, mask: FeatureMask) -> np.ndarray:
+    """Population statistics of r instances stacked as (r, c, n), each
+    reduced along its n points: the (r, c · k) table of the mask's k
+    statistics, channel by channel in mask order.  Skewness and kurtosis
+    are 0 by convention on constant channels."""
+    n = stacked.shape[2]
+    mean = stacked.sum(axis=2) / n
+    centered = stacked - mean[..., None]
+    std = np.sqrt((centered**2).sum(axis=2) / n)
+    columns = [stat for stat, used in ((mean, mask.mean), (std, mask.std)) if used]
+    for power, used in ((3, mask.skewness), (4, mask.kurtosis)):
+        if used:
+            # std ** power on Python floats: numpy's power rounds some of
+            # them 1 ulp away from the per-channel formula
+            scale = np.array([s**power for s in std.ravel().tolist()]).reshape(std.shape)
+            moment = (centered**power).sum(axis=2) / n
+            columns.append(np.divide(moment, scale, out=np.zeros_like(moment), where=std > 0))
+    return np.stack(columns, axis=2).reshape(len(stacked), -1)
 
 
 def extract_features(instance: Instance, mask: FeatureMask) -> np.ndarray:
     """Flatten an instance to per-channel population statistics, channel by
     channel in mask order."""
-    feats: list[float] = []
-    for ch in range(instance.channel_count):
-        feats.extend(_channel_stats(instance.channels[ch], mask))
-    return np.array(feats, dtype=np.float64)
+    return _features(instance.channels[None], mask)[0]
 
 
 def feature_table(dataset: TemporalDataset, mask: FeatureMask) -> tuple[np.ndarray, list[str]]:
     """Feature matrix for a whole dataset plus generated column names."""
-    rows = [extract_features(inst, mask) for inst in dataset.instances]
     names = [
         f"{attr}_{stat}" for attr in dataset.attribute_names for stat in mask.names()
     ]
-    return np.stack(rows), names
+    return _features(_stack(dataset.instances), mask), names
 
 
 def _check_dims(a: Instance, b: Instance) -> None:
@@ -93,17 +94,15 @@ def _check_dims(a: Instance, b: Instance) -> None:
 
 
 #: Cells per rolling buffer of one DTW pass.  A pass scores a block of
-#: (query, training series) columns; the block is as wide as this cap allows
-#: at n + 1 rows, so long series run fewer columns per pass.  At 30 points
-#: this is 396 columns (96 KiB per buffer).  On the racket-compare benchmark
-#: half the cap ran about 20 % slower, and twice the cap about 5 % faster for
-#: about 0.45 MiB more peak RSS.
+#: columns, as many as this cap allows at n + 1 rows, so long series run
+#: fewer columns per pass.  For `dtw-d` a column is a (query, training
+#: series) pair; for the pruned `dtw-i` search it is one channel of a kept
+#: pair, and its two input columns are gathered per pass, which adds two
+#: (n, columns) arrays to the pass.  At 30 points this is 396 columns
+#: (96 KiB per buffer).  On the racket-compare benchmark, before the `dtw-i`
+#: pruning, half the cap ran about 20 % slower, and twice the cap about 5 %
+#: faster for about 0.45 MiB more peak RSS.
 _PASS_CELLS = 12_288
-
-
-def _stack(instances: Sequence[Instance]) -> np.ndarray:
-    """The (r, c, n) array of r instances' channels."""
-    return np.stack([inst.channels for inst in instances])
 
 
 def _euclidean(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -184,14 +183,20 @@ def _dtw(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: str) -> np.ndarray:
-    """The (g, r) table of distances from each of g queries to each of r
-    training instances under one of :data:`DISTANCE_METRICS`.  Every
-    instance must have the shape of the first training instance."""
+def _check_batch(train: Sequence[Instance], queries: Sequence[Instance], metric: str) -> None:
+    """Every instance must have the shape of the first training instance,
+    and the metric must be one of :data:`DISTANCE_METRICS`."""
     for inst in (*train, *queries):
         _check_dims(train[0], inst)
     if metric not in DISTANCE_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {DISTANCE_METRICS}")
+
+
+def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: str) -> np.ndarray:
+    """The (g, r) table of distances from each of g queries to each of r
+    training instances under one of :data:`DISTANCE_METRICS`.  Every
+    instance must have the shape of the first training instance."""
+    _check_batch(train, queries, metric)
     if not queries:
         return np.empty((0, len(train)))
     if metric == "ed-i":
@@ -205,6 +210,92 @@ def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: s
     out = _dtw(series[:, :1], steps[:, :1])
     for ch in range(1, series.shape[1]):
         out += _dtw(series[:, ch : ch + 1], steps[:, ch : ch + 1])
+    return out
+
+
+#: Training series per query whose exact DTW-I is taken first, lowest
+#: bound first; the smallest of them is the query's upper bound.
+_SEEDS = 4
+
+
+def _envelope_bounds(series: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Lower bounds on the DTW-I from each of g queries, stacked time-major
+    as (m, c, g), to each of r series stacked as (n, c, r).  A warp matches
+    every point of either series to at least one point of the other, so per
+    channel the DTW is at least the squared distances from the query's
+    points to the series' [min, max] band, and at least those from the
+    series' points to the query's band (LB_Keogh with the whole series as
+    its window, taken both ways).  Per channel the larger of the two sums is
+    taken, and each pair's c values are added in channel order.  One query
+    at a time, so the largest temporary is (n, c, r).  Returns the (g, r)
+    table."""
+    low, high = series.min(axis=0), series.max(axis=0)
+    out = np.empty((steps.shape[2], series.shape[2]))
+    outside = np.empty(series.shape)  # m == n: one buffer serves both ways
+    for k, row in enumerate(out):
+        query = steps[:, :, k : k + 1]
+        # clip as maximum then minimum, which keeps a NaN
+        np.maximum(query, low, out=outside)
+        np.minimum(outside, high, out=outside)
+        np.subtract(query, outside, out=outside)
+        np.multiply(outside, outside, out=outside)
+        bound = outside.sum(axis=0)
+        np.maximum(series, query.min(axis=0), out=outside)
+        np.minimum(outside, query.max(axis=0), out=outside)
+        np.subtract(series, outside, out=outside)
+        np.multiply(outside, outside, out=outside)
+        np.maximum(bound, outside.sum(axis=0), out=bound)
+        row[:] = bound[0]
+        for ch in range(1, len(bound)):
+            row += bound[ch]
+    return out
+
+
+def _pair_dtw_i(series: np.ndarray, steps: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """DTW-I of K (query, series) pairs: ``pairs`` is (2, K), query indices
+    into ``steps`` (m, c, g) over series indices into ``series`` (n, c, r),
+    both time-major.  Each (pair, channel) is one column of a
+    :func:`_dtw_pass`, gathered pass by pass, so a pass holds up to
+    :data:`_PASS_CELLS` / (n + 1) columns.  Each pair's channel values are
+    added in channel order, as :func:`_distances` adds them, so every value
+    is ``==`` to its entry there."""
+    n, c = series.shape[:2]
+    width = max(1, _PASS_CELLS // (n + 1))
+    per_channel = np.empty(pairs.shape[1] * c)
+    for start in range(0, per_channel.size, width):
+        pair, ch = np.divmod(np.arange(start, min(start + width, per_channel.size)), c)
+        per_channel[start : start + width] = _dtw_pass(
+            series[:, ch, pairs[1, pair]][:, None, None], steps[:, ch, pairs[0, pair]][:, None, None]
+        )[0]
+    per_channel = per_channel.reshape(-1, c)
+    out = per_channel[:, 0].copy()
+    for ch in range(1, c):
+        out += per_channel[:, ch]
+    return out
+
+
+def _nearest_dtw_i(train: Sequence[Instance], queries: Sequence[Instance]) -> np.ndarray:
+    """The (g, r) DTW-I table of :func:`_distances`, except that a pair
+    whose lower bound shows it cannot be its query's nearest, nor tie with
+    it, holds inf.  Each query's :data:`_SEEDS` lowest-bound pairs are
+    scored first; every other pair is scored unless its bound exceeds the
+    smallest seed distance by the relative slack 1e-9, which covers the
+    rounding of two sums of at most n + m nonnegative terms each.  A NaN
+    bound or seed distance prunes nothing, so the argmin of each row is that
+    of the full table."""
+    if not queries:
+        return np.empty((0, len(train)))
+    series = _stack(train).transpose(2, 1, 0).copy()
+    steps = _stack(queries).transpose(2, 1, 0).copy()
+    bounds = _envelope_bounds(series, steps)
+    seeds = np.argsort(bounds, axis=1, kind="stable")[:, :_SEEDS]
+    seeded = np.zeros(bounds.shape, dtype=bool)
+    np.put_along_axis(seeded, seeds, True, axis=1)
+    out = np.full(bounds.shape, np.inf)
+    out[seeded] = _pair_dtw_i(series, steps, np.array(np.nonzero(seeded)))
+    rest = ~(bounds > out.min(axis=1, keepdims=True) * (1 + 1e-9))
+    rest &= ~seeded
+    out[rest] = _pair_dtw_i(series, steps, np.array(np.nonzero(rest)))
     return out
 
 
@@ -241,10 +332,16 @@ def dtw_d(a: Instance, b: Instance) -> float:
 def nn_predict(train: TemporalDataset, queries: Sequence[Instance], metric: str) -> list[int]:
     """1-nearest-neighbour class of each query; ties go to the lowest
     training index.  All queries are scored in one batch, after every query
-    and training instance has been checked to share one shape."""
+    and training instance has been checked to share one shape.  ``dtw-i``
+    skips the pairs whose lower bound rules them out (see
+    :func:`_nearest_dtw_i`); the answer is that of the full table."""
     if not train.instances:
         raise ValueError("nearest neighbour needs a non-empty training set")
-    dist = _distances(train.instances, queries, metric)
+    if metric == "dtw-i":
+        _check_batch(train.instances, queries, metric)
+        dist = _nearest_dtw_i(train.instances, queries)
+    else:
+        dist = _distances(train.instances, queries, metric)
     # argmin returns the first minimum: the lowest index wins a tie
     return [train.instances[idx].class_index for idx in np.argmin(dist, axis=1).tolist()]
 

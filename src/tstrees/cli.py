@@ -51,6 +51,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+#: Most values one a:b:step alpha range may give.
+_MAX_RANGE_VALUES = 1000
+
+
 def _parse_alpha_spec(specs: Sequence[str]) -> tuple[float, ...]:
     values: list[float] = []
     for spec in specs:
@@ -67,6 +71,13 @@ def _parse_alpha_spec(specs: Sequence[str]) -> tuple[float, ...]:
                     raise UsageError(f"alpha range parts must be finite numbers, got {chunk!r}")
                 if step <= 0:
                     raise UsageError("alpha range step must be positive")
+                span = (hi - lo) / step + 0.5  # the loop gives floor(span) + 1 values, up to rounding
+                if span >= _MAX_RANGE_VALUES:
+                    count = f"about {math.floor(span) + 1}" if math.isfinite(span) else "over 1e308"
+                    raise UsageError(
+                        f"alpha range {chunk!r} would give {count} values; "
+                        f"a range may give at most {_MAX_RANGE_VALUES}"
+                    )
                 k = 0
                 while True:
                     v = round(lo + k * step, 10)
@@ -78,7 +89,8 @@ def _parse_alpha_spec(specs: Sequence[str]) -> tuple[float, ...]:
                 values.append(float(chunk))
     if not values:
         raise UsageError("no alpha values given")
-    return tuple(values)
+    # a repeated alpha would repeat its sweeps for the same result
+    return tuple(dict.fromkeys(values))
 
 
 _RELATION_TOKENS = {r.name.lower(): r for r in IntervalRelation}

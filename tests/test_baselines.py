@@ -28,6 +28,13 @@ def inst(*channels, cls=0):
     return Instance(np.array(channels, dtype=np.float64), cls)
 
 
+_values = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-3),
+)
+
+
 def test_feature_mask_validation():
     FeatureMask(True, False, False, False)
     with pytest.raises(ValueError):
@@ -63,6 +70,58 @@ def test_extract_features_layout():
     )
     # channel-major: all of channel 0's stats first
     assert got.tolist() == [1.5, 0.5, 15.0, 5.0]
+
+
+def _ref_channel_stats(values, mask):
+    """One channel's statistics as a per-channel loop computes them, kept as
+    the reference for the stacked feature table."""
+    n = values.shape[0]
+    mean = float(values.sum() / n)
+    centered = values - mean
+    std = math.sqrt(float((centered**2).sum() / n))
+    out = []
+    if mask.mean:
+        out.append(mean)
+    if mask.std:
+        out.append(std)
+    if mask.skewness:
+        out.append(float((centered**3).sum() / n) / std**3 if std > 0 else 0.0)
+    if mask.kurtosis:
+        out.append(float((centered**4).sum() / n) / std**4 if std > 0 else 0.0)
+    return out
+
+
+@st.composite
+def _feature_cases(draw):
+    """r instances of c channels and n points, about one channel in four
+    constant, and a non-empty feature mask."""
+    r = draw(st.integers(1, 6))
+    c = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 12))
+    instances = []
+    for _ in range(r):
+        rows = []
+        for _ in range(c):
+            if draw(st.integers(0, 3)) == 0:
+                rows.append([draw(_values)] * n)
+            else:
+                rows.append(draw(st.lists(_values, min_size=n, max_size=n)))
+        instances.append(Instance(np.array(rows), 0))
+    bits = draw(st.sampled_from([f"{k:04b}" for k in range(1, 16)]))
+    return instances, FeatureMask.from_bits(bits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_feature_cases())
+@example(([inst([3.0, 3.0, 3.0], [1.0, 2.0, 4.0]), inst([0.5, 0.5, 0.5], [0.0, 0.0, 0.0])], FeatureMask.from_bits("1111")))
+def test_feature_table_equals_the_per_channel_reference(case):
+    instances, mask = case
+    c, n = instances[0].channels.shape
+    dataset = TemporalDataset(instances, [f"a{i}" for i in range(c)], ["u"], n)
+    table, names = feature_table(dataset, mask)
+    want = [[v for ch in x.channels for v in _ref_channel_stats(ch, mask)] for x in instances]
+    assert table.shape == (len(instances), len(names)) and table.tolist() == want
+    assert [extract_features(x, mask).tolist() for x in instances] == want
 
 
 def test_feature_table_names():
@@ -263,13 +322,6 @@ def _ref_nn_classify(train, query, metric):
     return train.instances[best_idx].class_index
 
 
-_values = st.one_of(
-    st.just(0.0),
-    st.floats(min_value=1e-3, max_value=1e3),
-    st.floats(min_value=-1e3, max_value=-1e-3),
-)
-
-
 @st.composite
 def _batches(draw):
     """r training series and g queries of c channels and n points, two
@@ -404,3 +456,131 @@ def test_nn_classify_refuses_a_query_of_another_shape(metric):
     # and so is one training instance of another shape
     with pytest.raises(ValueError, match="mismatched shapes"):
         _distances(train.instances + [longer], fitting, metric)
+
+
+# -- exact pruning of 1-NN DTW-I -------------------------------------------
+# nn_predict scores a DTW-I pair only when its envelope bound cannot rule it
+# out; the answer must stay the argmin of the full table.
+
+
+def _full_dtw_i_argmin(train, queries):
+    dist = _distances(train.instances, queries, "dtw-i")
+    return [train.instances[i].class_index for i in np.argmin(dist, axis=1).tolist()]
+
+
+@st.composite
+def _planted(draw):
+    """A training set and queries drawn around q class centres that lie far
+    apart, so the envelope bound rules out most pairs of other classes."""
+    q = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    r = draw(st.integers(1, 12))
+    g = draw(st.integers(1, 4))
+    noise = st.lists(st.floats(-1.0, 1.0), min_size=c * n, max_size=c * n)
+
+    def near(cls):
+        return Instance(10.0 * cls + np.array(draw(noise)).reshape(c, n), cls)
+
+    classes = draw(st.lists(st.integers(0, q - 1), min_size=r, max_size=r))
+    train = TemporalDataset(
+        [near(cls) for cls in classes], [f"a{i}" for i in range(c)], ["u", "v", "w"], n
+    )
+    queries = [near(draw(st.integers(0, q - 1))) for _ in range(g)]
+    return train, queries
+
+
+@settings(max_examples=100, deadline=None)
+@given(_planted())
+def test_pruned_dtw_i_equals_the_full_table_argmin(case):
+    train, queries = case
+    assert nn_predict(train, queries, "dtw-i") == _full_dtw_i_argmin(train, queries)
+    # every pair it scores holds the full table's value, and a pair left out
+    # is strictly farther than the query's nearest
+    full = _distances(train.instances, queries, "dtw-i")
+    pruned = baselines._nearest_dtw_i(train.instances, queries)
+    scored = np.isfinite(pruned)
+    assert (pruned[scored] == full[scored]).all()
+    assert (full > full.min(axis=1, keepdims=True))[~scored].all()
+
+
+def test_pruning_skips_pairs_on_planted_data():
+    rng = np.random.default_rng(5)
+    train = TemporalDataset(
+        [Instance(10.0 * (k % 3) + rng.normal(size=(2, 12)), k % 3) for k in range(30)],
+        ["a", "b"],
+        ["u", "v", "w"],
+        12,
+    )
+    queries = [Instance(10.0 * (k % 3) + rng.normal(size=(2, 12)), 0) for k in range(6)]
+    with mock.patch.object(baselines, "_dtw_pass", wraps=baselines._dtw_pass) as passes:
+        got = nn_predict(train, queries, "dtw-i")
+    assert got == _full_dtw_i_argmin(train, queries) == [k % 3 for k in range(6)]
+    # a pass's columns are its queries times its training series; with the
+    # bound switched off the passes would score all 6 * 30 pairs of 2 channels
+    columns = sum(call.args[1].shape[2] * call.args[0].shape[3] for call in passes.call_args_list)
+    assert columns < 6 * 30 * 2 // 2
+
+
+def test_pruning_keeps_pairs_whose_bound_equals_the_distance():
+    # against a constant series both the bound and the DTW are the diagonal
+    # sum, so six tied series all hold the smallest bound: four are seeds and
+    # the other two must still be scored, not ruled out by their equal bound
+    train = TemporalDataset(
+        [inst([0.0, 0.0], cls=k % 3) for k in range(6)] + [inst([5.0, 5.0], cls=2)],
+        ["a"],
+        ["u", "v", "w"],
+        2,
+    )
+    query = [inst([1.0, -1.0])]
+    pruned = baselines._nearest_dtw_i(train.instances, query)
+    assert pruned[0].tolist() == [2.0] * 6 + [np.inf]
+    assert nn_predict(train, query, "dtw-i") == _full_dtw_i_argmin(train, query) == [0]
+
+
+def test_pruning_keeps_a_tie_below_the_seeds():
+    # for the query [0, 2], [1, 1] (index 0) and the seed [1, 3] both lie at
+    # DTW 2, but [1, 1] bounds at 2 and four series bound at 1, so it is no
+    # seed; it must be scored and win the tie as the lower index
+    train = TemporalDataset(
+        [inst([1.0, 1.0], cls=0), inst([3.0, 1.0], cls=2), inst([1.0, 3.0], cls=1),
+         inst([3.0, 1.0], cls=2), inst([3.0, 1.0], cls=2)],
+        ["a"],
+        ["u", "v", "w"],
+        2,
+    )
+    query = [inst([0.0, 2.0])]
+    assert baselines._envelope_bounds(*(baselines._stack(x).T.copy() for x in (train.instances, query))).tolist() == [
+        [2.0, 1.0, 1.0, 1.0, 1.0]
+    ]
+    assert baselines._nearest_dtw_i(train.instances, query).tolist() == [[2.0, 10.0, 2.0, 10.0, 10.0]]
+    assert nn_predict(train, query, "dtw-i") == _full_dtw_i_argmin(train, query) == [0]
+
+
+def test_pruning_with_one_training_series():
+    train = TemporalDataset([inst([1.0, 4.0, 2.0], [0.0, 1.0, 0.0], cls=1)], ["a", "b"], ["u", "v"], 3)
+    queries = [inst([9.0, 9.0, 9.0], [-3.0, 0.0, 2.0]), inst([1.0, 4.0, 2.0], [0.0, 1.0, 0.0])]
+    assert nn_predict(train, queries, "dtw-i") == [1, 1]
+
+
+def test_pruning_with_nan_and_inf():
+    # a NaN bound or seed distance rules nothing out, an inf bound only what
+    # an inf distance would lose anyway; the first NaN in a row stays its argmin
+    finite = [inst([float(k), 2.0, -1.0], [0.5, 0.0, float(k)], cls=k % 2) for k in range(6)]
+    nan_series = inst([1.0, np.nan, 0.0], [0.0, 0.0, 0.0], cls=1)
+    inf_series = inst([1.0, 2.0, np.inf], [0.0, 0.0, 0.0], cls=1)
+    queries = [inst([0.0, 2.0, -1.0], [0.5, 0.0, 0.0]), inst([1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]),
+               inst([1.0, 2.0, np.inf], [0.0, 0.0, 0.0]), inst([np.nan, 2.0, 1.0], [0.0, 0.0, 0.0])]
+    # inf - inf in a local cost is NaN, in the full table as in the bound
+    with np.errstate(invalid="ignore"):
+        # a TemporalDataset refuses non-finite training values, so the
+        # training side is checked on the table
+        for series in (
+            finite[:2] + [nan_series] + finite[2:],
+            finite[:5] + [inf_series] + finite[5:],
+            [inf_series] + finite + [nan_series],
+        ):
+            want = np.argmin(_distances(series, queries, "dtw-i"), axis=1).tolist()
+            assert np.argmin(baselines._nearest_dtw_i(series, queries), axis=1).tolist() == want
+        train = TemporalDataset(finite, ["a", "b"], ["u", "v"], 3)
+        assert nn_predict(train, queries, "dtw-i") == _full_dtw_i_argmin(train, queries)

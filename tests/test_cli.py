@@ -376,6 +376,53 @@ def test_non_finite_alpha_range_exits_1(capsys):
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_repeated_alphas_are_dropped(tmp_path, capsys):
+    data = str(write_dataset(tmp_path, separable_dataset()))
+    models = {}
+    for name, option in (("once", "0.6"), ("twice", "0.6,0.6"), ("range", "0.6:0.6:0.1,0.6")):
+        model_path = tmp_path / f"{name}.json"
+        assert main(["train", "--data", data, "--min-leaf", "1", "--out", str(model_path), "--alpha", option]) == 0
+        models[name] = model_path.read_bytes()
+        assert load_model(model_path).config.alpha_grid == (0.6,)
+    assert models["twice"] == models["once"] and models["range"] == models["once"]
+    capsys.readouterr()
+    # the first appearance keeps its place
+    model_path = tmp_path / "order.json"
+    assert main(["train", "--data", data, "--min-leaf", "1", "--out", str(model_path),
+                 "--alpha", "0.8,0.5:0.7:0.1,0.6,0.8"]) == 0
+    assert load_model(model_path).config.alpha_grid == (0.8, 0.5, 0.6, 0.7)
+
+
+def test_alpha_range_of_over_1000_values_exits_1(capsys):
+    """A range with a step small enough to give over 1,000 values is refused
+    before its loop builds them, with the count in the message; an alarm
+    turns a loop that builds them all anyway into a failure."""
+
+    def hang(signum, frame):
+        raise TimeoutError("the alpha range was not refused")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        for spec, count in (("0.5:0.5000001:1e-12", "about 100001"), ("0.001:1:0.0009", "about 1111"),
+                            ("0.5:1:0.0001220703125", "about 4097"), ("0:1:5e-324", "over 1e308")):
+            for command in (
+                ["train", "--data", "/nonexistent.csv", f"--alpha={spec}"],
+                ["compare", "--data", "/nonexistent.ts", "--methods", f"tj48:{spec}"],
+            ):
+                assert main(command) == 1, command
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("usage error: "), err
+                assert f"would give {count}" in err and "at most 1000" in err, err
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # 1,000 values is still a range
+    from tstrees.cli import _parse_alpha_spec
+
+    assert len(_parse_alpha_spec(["0.001:1:0.001"])) == 1000
+
+
 def test_missing_file_exits_2(capsys):
     code = main(["train", "--data", "/nonexistent/file.csv"])
     assert code == 2
