@@ -67,7 +67,6 @@ from .dataio import (
 )
 from .evaluation import (
     ClassMetrics,
-    ClassReport,
     accuracy,
     class_report,
     compare_report,

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, TemporalDataset
+from .core import DataFormatError, Instance, TemporalDataset
 
 #: Distance names accepted by :func:`nn_classify` and the CLI.
 DISTANCE_METRICS = ("ed-i", "dtw-i", "dtw-d")
@@ -52,23 +52,37 @@ def _stack(instances: Sequence[Instance]) -> np.ndarray:
     return np.stack([inst.channels for inst in instances])
 
 
+def _finite(name: str, stat: np.ndarray) -> np.ndarray:
+    if not np.isfinite(stat).all():
+        raise DataFormatError(f"the {name} feature of some channel is out of float64 range")
+    return stat
+
+
 def _features(stacked: np.ndarray, mask: FeatureMask) -> np.ndarray:
     """Population statistics of r instances stacked as (r, c, n), each
     reduced along its n points: the (r, c · k) table of the mask's k
     statistics, channel by channel in mask order.  Skewness and kurtosis
-    are 0 by convention on constant channels."""
+    are 0 by convention on constant channels.  Values too large (or spread
+    too finely) for a statistic in float64 raise a :class:`DataFormatError`
+    that names the first such statistic in (mean, std, skew, kurt) order."""
     n = stacked.shape[2]
-    mean = stacked.sum(axis=2) / n
-    centered = stacked - mean[..., None]
-    std = np.sqrt((centered**2).sum(axis=2) / n)
-    columns = [stat for stat, used in ((mean, mask.mean), (std, mask.std)) if used]
-    for power, used in ((3, mask.skewness), (4, mask.kurtosis)):
-        if used:
-            # std ** power on Python floats: numpy's power rounds some of
-            # them 1 ulp away from the per-channel formula
-            scale = np.array([s**power for s in std.ravel().tolist()]).reshape(std.shape)
-            moment = (centered**power).sum(axis=2) / n
-            columns.append(np.divide(moment, scale, out=np.zeros_like(moment), where=std > 0))
+    with np.errstate(all="ignore"):  # out-of-range values are caught by _finite
+        mean = _finite("mean", stacked.sum(axis=2) / n)
+        centered = stacked - mean[..., None]
+        std = _finite("std", np.sqrt((centered**2).sum(axis=2) / n))
+        columns = [stat for stat, used in ((mean, mask.mean), (std, mask.std)) if used]
+        for power, name, used in ((3, "skew", mask.skewness), (4, "kurt", mask.kurtosis)):
+            if used:
+                # std ** power on Python floats: numpy's power rounds some of
+                # them 1 ulp away from the per-channel formula
+                try:
+                    scale = np.array([s**power for s in std.ravel().tolist()]).reshape(std.shape)
+                except OverflowError:
+                    # so that each channel with std > 0 fails _finite below
+                    scale = np.zeros_like(std)
+                moment = (centered**power).sum(axis=2) / n
+                stat = np.divide(moment, scale, out=np.zeros_like(moment), where=std > 0)
+                columns.append(_finite(name, stat))
     return np.stack(columns, axis=2).reshape(len(stacked), -1)
 
 
@@ -84,13 +98,6 @@ def feature_table(dataset: TemporalDataset, mask: FeatureMask) -> tuple[np.ndarr
         f"{attr}_{stat}" for attr in dataset.attribute_names for stat in mask.names()
     ]
     return _features(_stack(dataset.instances), mask), names
-
-
-def _check_dims(a: Instance, b: Instance) -> None:
-    if a.channels.shape != b.channels.shape:
-        raise ValueError(
-            f"instances have mismatched shapes {a.channels.shape} vs {b.channels.shape}"
-        )
 
 
 #: Cells per rolling buffer of one DTW pass.  A pass scores a block of
@@ -186,8 +193,10 @@ def _dtw(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def _check_batch(train: Sequence[Instance], queries: Sequence[Instance], metric: str) -> None:
     """Every instance must have the shape of the first training instance,
     and the metric must be one of :data:`DISTANCE_METRICS`."""
+    shape = train[0].channels.shape
     for inst in (*train, *queries):
-        _check_dims(train[0], inst)
+        if inst.channels.shape != shape:
+            raise ValueError(f"instances have mismatched shapes {shape} vs {inst.channels.shape}")
     if metric not in DISTANCE_METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {DISTANCE_METRICS}")
 

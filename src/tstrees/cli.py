@@ -381,7 +381,11 @@ def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
                     f"side of {trimmed.size} cases empty"
                 )
         for method, run in plan:
-            records.append((name, method, "accuracy", _test_accuracy(run, train, test)))
+            try:
+                score = _test_accuracy(run, train, test)
+            except DataFormatError as exc:  # a feature out of float64 range
+                raise DataFormatError(f"{name}: {method}: {exc}") from None
+            records.append((name, method, "accuracy", score))
     return records
 
 

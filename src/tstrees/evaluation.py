@@ -36,19 +36,6 @@ class ClassMetrics:
     prc_area: float
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    """One :class:`ClassMetrics` row per class, indexed by class."""
-
-    per_class: tuple[ClassMetrics, ...]
-
-    def __getitem__(self, class_index: int) -> ClassMetrics:
-        return self.per_class[class_index]
-
-    def __len__(self) -> int:
-        return len(self.per_class)
-
-
 def _safe_div(num: float, den: float) -> float:
     return num / den if den != 0 else 0.0
 
@@ -110,8 +97,8 @@ def prc_area(labels: Sequence[bool], scores: Sequence[float]) -> float:
 def class_report(
     matrix: ConfusionMatrix,
     scores: Sequence[tuple[int, Sequence[float]]],
-) -> ClassReport:
-    """One-vs-rest metrics for every class.
+) -> tuple[ClassMetrics, ...]:
+    """One-vs-rest metrics for every class, indexed by class.
 
     ``scores`` carries, per evaluated instance, its true class index and its
     row-normalized per-class score vector (leaf class distributions); the
@@ -147,7 +134,7 @@ def class_report(
                 prc_area=prc_area(labels, class_scores),
             )
         )
-    return ClassReport(tuple(rows))
+    return tuple(rows)
 
 
 #: Method-name prefix -> comparison group.

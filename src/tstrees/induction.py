@@ -317,7 +317,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                 continue
             t = len(thresholds)
             lo, hi = point_spans(u, v, n, z)
-            length = hi - lo + 1
+            length = np.maximum(hi - lo + 1, 0)
             tables, at = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
             # per relation, the table rows of its reached intervals and, when
             # the references differ, bounds that turn every entry off an

@@ -10,9 +10,10 @@ The successor set of every relation is one rectangle of the (start, end)
 grid (:func:`relation_rectangle`); decision checking and routing here and
 split search in :mod:`tstrees.induction` all read it.  :func:`successors`,
 :func:`allen_related` and :func:`holds_on` are the direct definitions the
-tests compare it against.  :func:`check_decision` checks one instance, as a
-tree is applied; :func:`split_dataset` routes all of a node's instances in
-one pass, as a tree is grown.
+tests compare it against.  One router reads it to decide a decision and
+pick its witness: :func:`split_dataset` is its batch call, as a tree is
+grown, and :func:`check_decision` its one-instance call, as a tree is
+applied, so both follow one rule.
 """
 
 from __future__ import annotations
@@ -193,13 +194,13 @@ def compare_values(
 
 def point_spans(u: Bound, v: Bound, n: int, z: int) -> tuple[Bound, Bound]:
     """Data-bearing point ranges [lo, hi] of the intervals [u, v] for
-    derivative degree ``z`` over raw length ``n``, elementwise.  An empty
-    range comes back as lo = hi + 1, so prefix-sum counts
-    ``cum[hi] - cum[lo - 1]`` and lengths ``hi - lo + 1`` read 0 and every
-    index stays inside a prefix array of n - z + 1 entries."""
-    hi = np.minimum(v, n - z)
-    lo = np.minimum(np.maximum(u, 1), hi + 1)
-    return lo, hi
+    derivative degree ``z`` over raw length ``n``, elementwise; the only
+    definition of the span.  An empty range comes back as lo = hi + 1, so
+    prefix-sum counts ``cum[hi] - cum[lo - 1]`` and lengths ``hi - lo + 1``
+    read 0 and every index stays inside a prefix array of n - z + 1 entries.
+    ``lo`` depends on u alone and ``hi`` on v alone; cells with u >= v,
+    which are not intervals, may show negative lengths."""
+    return np.minimum(np.maximum(u, 1), n - z + 1), np.minimum(v, n - z)
 
 
 def holds_on(
@@ -244,127 +245,118 @@ class WitnessResult:
             raise ValueError("a witness requires satisfaction")
 
 
-def check_decision(instance: Instance, decision: TemporalDecision) -> WitnessResult:
-    """Evaluate a decision at the instance's current reference interval.
-
-    Every interval of the relation's successor rectangle is tested at once
-    from one prefix sum of satisfied points; the first satisfied one in
-    ascending (x, y) order is the witness.  For eq the rectangle is the
-    reference itself and the reference never moves.
-
-    This is the one-instance path that applies a tree, and
-    :func:`split_dataset` routes a batch by the same rule.  It is kept apart
-    from that batched route because, called on one instance, the route
-    costs more than this check on small successor rectangles: on a 150-point
-    series (2-vCPU VM), 47 against 19 us under A, though 210 against 346 us
-    under L, and a long-predict benchmark round went from 0.036 to 0.048 s
-    through it.
-    """
-    n = instance.series_length
-    if decision.attribute_index >= instance.channel_count:
-        raise ValueError(
-            f"decision uses attribute {decision.attribute_index} but the instance "
-            f"has {instance.channel_count} channels"
-        )
-    z = decision.derivative_degree
-    deriv = derivative(instance.channels[decision.attribute_index], z)
-    ref = instance.reference
-    r1, r2, c1, c2 = relation_rectangle(decision.relation, ref.x, ref.y, n)
-    u = np.arange(max(r1, 0), min(r2, n) + 1)[:, None]
-    v = np.arange(max(c1, 0), min(c2, n) + 1)
-    if not (u.size and v.size):
-        return WitnessResult(False, None)
-
-    point_ok = compare_values(
-        deriv, decision.comparator, decision.threshold, decision.eq_tolerance
-    )
-    # prefix counts over points 1..n-z; cum[t] = satisfied points in 1..t
-    cum = np.zeros(deriv.shape[0] + 1, dtype=np.int64)
-    np.add.accumulate(point_ok, out=cum[1:])
-    lo, hi = point_spans(u, v, n, z)
-    need = required_counts(decision.alpha, n)[hi - lo + 1]
-    ok = (u < v) & (cum[hi] - cum[lo - 1] >= need)
-    first = int(ok.argmax())
-    if not ok.flat[first]:
-        return WitnessResult(False, None)
-    if decision.relation is Rel.EQ:
-        return WitnessResult(True, None)
-    row, col = divmod(first, v.shape[0])
-    return WitnessResult(True, Interval(int(u[row, 0]), int(v[col])))
-
-
-def split_dataset(
-    instances: Iterable[Instance], decision: TemporalDecision
-) -> tuple[list[Instance], list[Instance]]:
-    """Partition instances into (satisfying, non-satisfying), in input order.
-
-    The instances, which share one series length, are routed together in
-    one pass.  One prefix count of satisfied points per instance is read
-    against ``required_counts`` over the bounding box of the instances'
-    successor rectangles; when the references differ, each instance's own
-    rectangle then masks the box.  The box is read in row-major (x, y)
-    order, which is ascending interval order, so the witness is the first
-    satisfied interval, as in :func:`check_decision`; for eq the rectangle
-    is the reference cell, so the witness is the reference itself.
-    Satisfying instances come back as fresh copies standing on their
-    witness, non-satisfying ones as fresh copies with the reference
-    untouched; every copy shares the original's channel matrix.
-    """
-    instances = list(instances)
+def _route(
+    instances: list[Instance], decision: TemporalDecision
+) -> list[Optional[tuple[int, int]]]:
+    """Per instance, None if the decision fails at its reference, else its
+    witness (x, y): the first satisfied cell of its successor rectangle in
+    row-major (x, y) order, which is ascending interval order (for eq, the
+    reference itself).  The instances, which share one series length, are
+    read together over the bounding box of their rectangles, which each
+    instance's own rectangle masks only when the references differ."""
     m = len(instances)
-    if not m:
-        return [], []
     n = instances[0].series_length
     attr, z = decision.attribute_index, decision.derivative_degree
     try:
         values = np.array([inst.channels[attr] for inst in instances])
     except IndexError:
+        fewest = min(inst.channel_count for inst in instances)
         raise ValueError(
-            f"decision uses attribute {attr} but an instance has fewer channels"
+            f"decision uses attribute {attr} but an instance has {fewest} channels"
         ) from None
     if z >= n:
         raise ValueError(f"derivative degree {z} invalid for a series of length {n}")
+
+    x = [inst.reference.x for inst in instances]
+    y = [inst.reference.y for inst in instances]
+    rect = None
+    if x.count(x[0]) == m and y.count(y[0]) == m:
+        r1, r2, c1, c2 = relation_rectangle(decision.relation, x[0], y[0], n)
+        u0, u1, v0, v1 = max(r1, 0), min(r2, n), max(c1, 0), min(c2, n)
+    else:
+        # rows r1, r2, c1, c2: each instance's successor rectangle, clipped
+        rect = np.array(np.broadcast_arrays(
+            *relation_rectangle(decision.relation, np.array(x), np.array(y), n)))
+        np.maximum(rect[0::2], 0, out=rect[0::2])
+        np.minimum(rect[1::2], n, out=rect[1::2])
+        live = (rect[0] <= rect[1]) & (rect[2] <= rect[3])
+        if not live.any():
+            return [None] * m
+        (u0, v0), (u1, v1) = rect[0::2, live].min(1).tolist(), rect[1::2, live].max(1).tolist()
+    if u0 > u1 or v0 > v1:
+        return [None] * m
+
     point_ok = compare_values(
         np.diff(values, n=z, axis=1), decision.comparator, decision.threshold,
         decision.eq_tolerance,
     )
-    # cum[i, t]: instance i's satisfied points in 1..t, in the smallest
-    # integer type that holds n
-    count_type = np.min_scalar_type(-n - 1)
-    cum = np.zeros((m, n - z + 1), dtype=count_type)
-    np.add.accumulate(point_ok, axis=1, dtype=count_type, out=cum[:, 1:])
-
-    x = np.array([inst.reference.x for inst in instances])
-    y = np.array([inst.reference.y for inst in instances])
-    # rows r1, r2, c1, c2: each instance's successor rectangle, clipped
-    rect = np.empty((4, m), dtype=np.int64)
-    for row, bound in zip(rect, relation_rectangle(decision.relation, x, y, n)):
-        row[:] = bound
-    np.maximum(rect[0::2], 0, out=rect[0::2])
-    np.minimum(rect[1::2], n, out=rect[1::2])
-    r1, r2, c1, c2 = rect
-    live = (r1 <= r2) & (c1 <= c2)
-    satisfied, witness = [False] * m, [None] * m
-    if live.any():
-        (u0, v0), (u1, v1) = rect[0::2, live].min(axis=1), rect[1::2, live].max(axis=1)
+    starts, ends, need = _span_counts(decision.alpha, n, z)
+    # cum[i, t]: instance i's satisfied points in 1..t
+    cum = np.zeros((m, n - z + 1), dtype=need.dtype)
+    np.add.accumulate(point_ok, axis=1, dtype=need.dtype, out=cum[:, 1:])
+    # cell [u, v] holds iff its points satisfied up to the span's end, less
+    # those before its start, meet what the cell needs
+    to_end = cum.take(ends[v0 : v1 + 1], axis=1)[:, None]
+    before = cum.take(starts[u0 : u1 + 1], axis=1)[..., None]
+    ok = to_end - before >= need[u0 : u1 + 1, v0 : v1 + 1]
+    if rect is not None:
         u, v = np.arange(u0, u1 + 1), np.arange(v0, v1 + 1)
-        lo, hi = point_spans(u[:, None], v, n, z)  # lo is (u, v), hi (v,)
-        need = required_counts(decision.alpha, n)[hi - lo + 1].astype(count_type)
-        ok = (cum[:, None, hi] - cum[:, lo - 1] >= need) & (u[:, None] < v)
-        if (x != x[0]).any() or (y != y[0]).any():
-            in_u = (r1[:, None] <= u) & (u <= r2[:, None])
-            in_v = (c1[:, None] <= v) & (v <= c2[:, None])
-            ok &= in_u[:, :, None] & in_v[:, None, :]
-        ok = ok.reshape(m, -1)
-        first = ok.argmax(axis=1)
-        satisfied = ok[np.arange(m), first].tolist()
-        witness = zip(u[first // v.size].tolist(), v[first % v.size].tolist())
+        in_u = (rect[0, :, None] <= u) & (u <= rect[1, :, None])
+        in_v = (rect[2, :, None] <= v) & (v <= rect[3, :, None])
+        ok &= in_u[:, :, None] & in_v[:, None, :]
+    ok = ok.reshape(m, -1)
+    width = v1 - v0 + 1
+    return [(u0 + f // width, v0 + f % width) if ok[i, f] else None
+            for i, f in enumerate(ok.argmax(axis=1).tolist())]
 
+
+@lru_cache(maxsize=8)
+def _span_counts(alpha: float, n: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For degree ``z`` over raw length ``n``: the prefix-count index before
+    each start u (``lo - 1``) and at each end v (``hi``), and the (n + 1,
+    n + 1) grid of the satisfied points cell [u, v] needs: ``required_counts``
+    of its span's length, or n + 1, never met, where u >= v.  Counts take
+    the smallest integer type that holds n + 1; wider ones made checks on
+    150-point series up to 1.9x slower.  A grid is 45 KiB at n = 150."""
+    lo, hi = point_spans(np.arange(n + 1), np.arange(n + 1), n, z)
+    need = required_counts(alpha, n).astype(np.min_scalar_type(-n - 2))
+    need = need.take(hi - lo[:, None] + 1, mode="clip")
+    need[np.tri(n + 1, dtype=bool)] = n + 1
+    tables = (lo - 1, hi, need)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def check_decision(instance: Instance, decision: TemporalDecision) -> WitnessResult:
+    """Evaluate a decision at the instance's current reference interval by
+    the rule that grows a tree: the router of :func:`split_dataset`, called
+    on one instance.  The witness is the first satisfied successor in
+    ascending (x, y) order; for eq there is none, as the reference never
+    moves."""
+    (witness,) = _route([instance], decision)
+    if witness is None or decision.relation is Rel.EQ:
+        return WitnessResult(witness is not None, None)
+    return WitnessResult(True, Interval(*witness))
+
+
+def split_dataset(
+    instances: Iterable[Instance], decision: TemporalDecision
+) -> tuple[list[Instance], list[Instance]]:
+    """Partition instances into (satisfying, non-satisfying), in input order,
+    routed together by the rule of :func:`check_decision`.  Satisfying
+    instances come back as fresh copies standing on their witness (for eq,
+    the reference itself), non-satisfying ones as fresh copies with the
+    reference untouched; every copy shares the original's channel matrix.
+    """
+    instances = list(instances)
+    if not instances:
+        return [], []
     t1: list[Instance] = []
     t2: list[Instance] = []
-    for inst, ok, w in zip(instances, satisfied, witness):
-        if ok:
-            t1.append(Instance(inst.channels, inst.class_index, Interval(*w)))
+    for inst, witness in zip(instances, _route(instances, decision)):
+        if witness is not None:
+            t1.append(Instance(inst.channels, inst.class_index, Interval(*witness)))
         else:
             t2.append(Instance(inst.channels, inst.class_index, inst.reference))
     return t1, t2

@@ -454,6 +454,28 @@ def test_compare_and_bench_refuse_too_few_cases_exits_2(tmp_path, capsys):
             assert "data error: tiny: " in err and reason in err, (count, err)
 
 
+def test_compare_and_bench_refuse_features_out_of_float64_range_exits_2(tmp_path, capsys):
+    # finite values: near 1e120 std ** 3 overflows, near 1e308 so does the sum
+    # behind the mean, which every statistic needs
+    rng = np.random.default_rng(0)
+    for scale, method, stat in ((1e120, "j48:1111", "skew"), (1e120, "j48:0001", "kurt"),
+                                (1.5e308, "j48:0100", "mean")):
+        folder = tmp_path / f"{stat}{method[-4:]}"
+        folder.mkdir()
+        instances = [Instance(scale * rng.uniform(0.5, 1.0, (1, 6)), i % 2) for i in range(10)]
+        path = write_dataset(folder, TemporalDataset(instances, ["var0"], ["a", "b"], 6), "huge.csv")
+        for command in (
+            ["compare", "--data", str(path), "--methods", method],
+            ["bench", "--data-dir", str(folder), "--methods", method],
+        ):
+            assert main(command) == 2, command
+            out, err = capsys.readouterr()
+            assert out == "" and err == (
+                f"data error: huge: {method}: the {stat} feature of some channel "
+                "is out of float64 range\n"
+            ), (command, err)
+
+
 def test_compare_rows_mirror_method_ladder(tmp_path, capsys):
     ds = separable_dataset(m=14, length=5)
     data = write_dataset(tmp_path, ds)

@@ -1,9 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tstrees.core import DataFormatError, Instance, TemporalDataset
 from tstrees.dataio import (
+    _lines,
     load_dataset,
     parse_semicolon_table,
     parse_uea_sequence,
@@ -159,6 +162,14 @@ def test_parse_uea_sequence():
 def test_parse_uea_single_case():
     ds = parse_uea_sequence("1,2,3,4:5,6,7,8:yes\n")
     assert ds.size == 1 and ds.attribute_count == 2 and ds.series_length == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="a;,\"\n\r\x0b\x0c\x1c\x85\u2028 "))
+def test_table_lines_are_the_lines_stringio_yields(text):
+    """The semicolon table is read line by line exactly as csv.reader reads
+    ``io.StringIO(content)``: split after "\\n" only, newlines kept."""
+    assert list(_lines(text)) == list(io.StringIO(text))
 
 
 def test_load_dataset_reads_each_format(tmp_path):

@@ -364,3 +364,39 @@ def test_split_dataset_matches_slow_check_property(batch):
         assert (len(alone[0]), len(alone[1])) == ((1, 0) if result.satisfied else (0, 1))
         if result.witness is not None:
             assert alone[0][0].reference == result.witness
+
+
+@pytest.mark.parametrize("n", [126, 127, 128, 150])
+def test_routing_on_long_series_matches_slow_check(n):
+    """Routing on either side of N = 127, where counts switch from int8 to
+    int16 (they must hold N + 1, the count never met), against the
+    definition: every
+    relation under a z = 0 and a z = 1 decision, from references at both
+    ends and in the middle, so that successors reach the last points, past
+    the z = 1 data, and L, D and their inverses read boxes holding cells
+    with u >= v.  Each instance is checked alone and in one pooled batch.
+    Relations whose successor sets here exceed 1000 intervals are skipped
+    for that reference, to keep the oracle's scan short."""
+    rng = np.random.default_rng(n)
+    refs = [Interval(0, 1), Interval(3, 40), Interval(n // 2 - 20, n // 2 + 20),
+            Interval(n - 40, n - 6), Interval(n - 45, n - 44), Interval(n - 2, n)]
+    pool = [Instance((rng.random((1, n)) < 0.75).astype(float), 0, reference=r) for r in refs]
+    outcomes = set()
+    for rel in Rel:
+        batch = [inst for inst in pool if len(successors(inst.reference, rel, n)) <= 1000]
+        for comparator, z in ((Comparator.GT, 0), (Comparator.LE, 1)):
+            decision = TemporalDecision(rel, 0, z, comparator, 0.5, 0.8)
+            want = [oracles.slow_check(inst, decision) for inst in batch]
+            t1, t2 = split_dataset(batch, decision)
+            moved = iter(t1)
+            for inst, (ok, witness) in zip(batch, want):
+                got = check_decision(inst, decision)
+                assert got.satisfied == ok, (rel, z, inst.reference)
+                assert got.witness == (None if witness is None else Interval(*witness))
+                if ok:
+                    assert next(moved).reference == (got.witness or inst.reference)
+                outcomes.add((rel, ok))
+            assert len(t1) == sum(ok for ok, _ in want)
+            assert [inst.reference for inst in t2] == [
+                inst.reference for inst, (ok, _) in zip(batch, want) if not ok]
+    assert outcomes == {(rel, ok) for rel in Rel for ok in (False, True)}
