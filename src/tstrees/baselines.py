@@ -343,14 +343,21 @@ def nn_predict(train: TemporalDataset, queries: Sequence[Instance], metric: str)
     training index.  All queries are scored in one batch, after every query
     and training instance has been checked to share one shape.  ``dtw-i``
     skips the pairs whose lower bound rules them out (see
-    :func:`_nearest_dtw_i`); the answer is that of the full table."""
+    :func:`_nearest_dtw_i`); the answer is that of the full table.  Values
+    whose distances or bounds overflow float64 raise a
+    :class:`DataFormatError` that names the metric."""
     if not train.instances:
         raise ValueError("nearest neighbour needs a non-empty training set")
-    if metric == "dtw-i":
-        _check_batch(train.instances, queries, metric)
-        dist = _nearest_dtw_i(train.instances, queries)
-    else:
-        dist = _distances(train.instances, queries, metric)
+    try:
+        # a finite row minimum proves nothing: an ed-i pair with an inf channel may be nearest
+        with np.errstate(over="raise"):
+            if metric == "dtw-i":
+                _check_batch(train.instances, queries, metric)
+                dist = _nearest_dtw_i(train.instances, queries)
+            else:
+                dist = _distances(train.instances, queries, metric)
+    except FloatingPointError:
+        raise DataFormatError(f"the {metric} distances are out of float64 range") from None
     # argmin returns the first minimum: the lowest index wins a tie
     return [train.instances[idx].class_index for idx in np.argmin(dist, axis=1).tolist()]
 

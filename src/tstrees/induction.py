@@ -60,6 +60,7 @@ from .core import (
     Comparator,
     DecisionTree,
     ConfusionMatrix,
+    DataFormatError,
     Instance,
     IntervalRelation,
     LearnerConfig,
@@ -122,7 +123,10 @@ def candidate_thresholds(values: Sequence[float] | np.ndarray, cap: int) -> list
     distinct = np.unique(arr)
     if distinct.size < 2:
         return []
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    with np.errstate(over="ignore"):  # a sum past float64 range is redone below
+        mids = (distinct[:-1] + distinct[1:]) / 2.0
+    over = np.isinf(mids)
+    mids[over] = distinct[:-1][over] / 2.0 + distinct[1:][over] / 2.0
     if mids.size > cap:
         idx = np.round(np.linspace(0, mids.size - 1, cap)).astype(np.intp)
         mids = mids[idx]
@@ -388,6 +392,19 @@ def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionT
     )
 
 
+def _check_differences(dataset: TemporalDataset, max_derivative: int) -> None:
+    """Refuse data whose differences of a searched degree leave float64
+    range, naming the first such channel: their thresholds would be inf."""
+    deriv = np.stack([inst.channels for inst in dataset.instances])
+    for z in range(1, min(max_derivative, dataset.series_length - 1) + 1):
+        with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
+            deriv = np.diff(deriv, axis=2)
+        finite = np.isfinite(deriv).all(axis=(0, 2))
+        if not finite.all():
+            channel = dataset.attribute_names[int(finite.argmin())]
+            raise DataFormatError(f"channel {channel!r}: degree-{z} differences out of float64 range")
+
+
 def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
     """Greedy recursive growth from the root reference interval [0, 1].
 
@@ -397,6 +414,7 @@ def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
     """
     if not dataset.instances:
         raise ValueError("cannot grow a tree from an empty dataset")
+    _check_differences(dataset, config.max_derivative)
     instances = [inst.with_reference(ROOT_REFERENCE) for inst in dataset.instances]
     return _grow(instances, dataset.class_count, config)
 

@@ -7,13 +7,14 @@ interval is evaluated on its data-bearing points clipped to that range, and
 fails a decision outright when the clipped point set is empty.
 
 The successor set of every relation is one rectangle of the (start, end)
-grid (:func:`relation_rectangle`); decision checking and routing here and
-split search in :mod:`tstrees.induction` all read it.  :func:`successors`,
-:func:`allen_related` and :func:`holds_on` are the direct definitions the
-tests compare it against.  One router reads it to decide a decision and
-pick its witness: :func:`split_dataset` is its batch call, as a tree is
-grown, and :func:`check_decision` its one-instance call, as a tree is
-applied, so both follow one rule.
+grid (:func:`relation_rectangle`); :func:`successors` lists its cells,
+and decision checking and routing here and split search in
+:mod:`tstrees.induction` all read it.  :func:`allen_related` is the direct
+definition the tests compare it against.  One router reads it to decide a
+decision and pick its witness: :func:`split_dataset` is its batch call, as
+a tree is grown, :func:`check_decision` its one-instance call, as a tree
+is applied, and :func:`holds_on` its eq call on one interval, so all three
+follow one rule.
 """
 
 from __future__ import annotations
@@ -69,39 +70,14 @@ def enumerate_intervals(n: int) -> list[Interval]:
 
 def successors(i: Interval, relation: IntervalRelation, n: int) -> list[Interval]:
     """Exactly the intervals over {0, ..., n} related to ``i`` by
-    ``relation``, sorted ascending by (x, y).
-
-    Built by direct construction per relation; equivalence with filtering the
-    full enumeration through :func:`allen_related` is a tested invariant.
+    ``relation``, sorted ascending by (x, y): the cells [u, v] with u < v of
+    :func:`relation_rectangle`, clipped to the grid, in row-major order.
+    Equivalence with filtering the full enumeration through
+    :func:`allen_related` is a tested invariant.
     """
-    x, y = i.x, i.y
-    if relation is Rel.EQ:
-        return [i]
-    if relation is Rel.A:
-        return [Interval(y, v) for v in range(y + 1, n + 1)]
-    if relation is Rel.L:
-        return [Interval(u, v) for u in range(y + 1, n) for v in range(u + 1, n + 1)]
-    if relation is Rel.B:
-        return [Interval(x, v) for v in range(x + 1, y)]
-    if relation is Rel.E:
-        return [Interval(u, y) for u in range(x + 1, y)]
-    if relation is Rel.D:
-        return [Interval(u, v) for u in range(x + 1, y - 1) for v in range(u + 1, y)]
-    if relation is Rel.O:
-        return [Interval(u, v) for u in range(x + 1, y) for v in range(y + 1, n + 1)]
-    if relation is Rel.AI:
-        return [Interval(u, x) for u in range(0, x)]
-    if relation is Rel.LI:
-        return [Interval(u, v) for u in range(0, x - 1) for v in range(u + 1, x)]
-    if relation is Rel.BI:
-        return [Interval(x, v) for v in range(y + 1, n + 1)]
-    if relation is Rel.EI:
-        return [Interval(u, y) for u in range(0, x)]
-    if relation is Rel.DI:
-        return [Interval(u, v) for u in range(0, x) for v in range(y + 1, n + 1)]
-    if relation is Rel.OI:
-        return [Interval(u, v) for u in range(0, x) for v in range(x + 1, y)]
-    raise ValueError(f"unknown relation {relation!r}")
+    r1, r2, c1, c2 = relation_rectangle(relation, i.x, i.y, n)
+    return [Interval(u, v) for u in range(max(r1, 0), min(r2, n) + 1)
+            for v in range(max(c1, u + 1), min(c2, n) + 1)]
 
 
 Bound = Union[int, np.ndarray]
@@ -215,17 +191,15 @@ def holds_on(
     """Relaxed satisfaction of the point condition on one interval.
 
     True iff at least ceil(alpha * |P|) of the interval's data-bearing points
-    P satisfy ``A^z cmp threshold``; false when P is empty.
+    P satisfy ``A^z cmp threshold``; false when P is empty.  This is the eq
+    decision of :func:`check_decision` on a one-channel instance standing on
+    ``interval``, which must end within the series.
     """
-    values = np.asarray(channel_values, dtype=np.float64)
-    n = values.shape[0]
-    deriv = derivative(values, z)
-    lo, hi = max(interval.x, 1), min(interval.y, n - z)
-    if hi < lo:
-        return False
-    window = deriv[lo - 1 : hi]
-    sat = int(compare_values(window, comparator, threshold, eq_tolerance).sum())
-    return sat >= required_count(alpha, hi - lo + 1)
+    inst = Instance([channel_values], 0, interval)
+    if interval.y > inst.series_length:
+        raise ValueError(f"interval [{interval.x},{interval.y}] ends past the series' end")
+    decision = TemporalDecision(Rel.EQ, 0, z, comparator, threshold, alpha, eq_tolerance)
+    return check_decision(inst, decision).satisfied
 
 
 @dataclass(frozen=True)
@@ -286,10 +260,10 @@ def _route(
     if u0 > u1 or v0 > v1:
         return [None] * m
 
-    point_ok = compare_values(
-        np.diff(values, n=z, axis=1), decision.comparator, decision.threshold,
-        decision.eq_tolerance,
-    )
+    if z:
+        with np.errstate(over="ignore"):  # exact at z = 1: an inf lies past every finite threshold
+            values = np.diff(values, n=z, axis=1)
+    point_ok = compare_values(values, decision.comparator, decision.threshold, decision.eq_tolerance)
     starts, ends, need = _span_counts(decision.alpha, n, z)
     # cum[i, t]: instance i's satisfied points in 1..t
     cum = np.zeros((m, n - z + 1), dtype=need.dtype)

@@ -1,5 +1,6 @@
 import json
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,52 @@ def test_compare_and_bench_refuse_features_out_of_float64_range_exits_2(tmp_path
                 f"data error: huge: {method}: the {stat} feature of some channel "
                 "is out of float64 range\n"
             ), (command, err)
+
+
+def _run_without_warnings(command):
+    """main's exit code, with every warning raised in the call recorded and
+    required absent."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(command)
+    assert caught == [], [str(w.message) for w in caught]
+    return code
+
+
+def test_train_splits_values_whose_midpoints_overflow(tmp_path, capsys):
+    # 1.6e308 + 1.0e308 overflows, so the midpoint is taken as halves
+    instances = [Instance(np.full((1, 4), 1.6e308 if i % 2 else 1.0e308), i % 2) for i in range(10)]
+    data = write_dataset(tmp_path, TemporalDataset(instances, ["var0"], ["a", "b"], 4))
+    assert _run_without_warnings(["train", "--data", str(data), "--min-leaf", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "var0 <= 1.3e+308: a (5.0)" in out and "var0 > 1.3e+308: b (5.0)" in out
+
+
+def test_train_refuses_differences_out_of_float64_range_exits_2(tmp_path, capsys):
+    # 1.5e308 - (-1.5e308) is past float64, so degree-1 thresholds would be inf
+    rows = ([1.5e308, -1.5e308, 1.5e308, -1.5e308], [1.0, 2.0, 3.0, 4.0])
+    instances = [Instance(np.array([rows[i % 2]]), i % 2) for i in range(10)]
+    data = write_dataset(tmp_path, TemporalDataset(instances, ["var0"], ["a", "b"], 4))
+    command = ["train", "--data", str(data), "--min-leaf", "1", "--max-z", "1"]
+    assert _run_without_warnings(command) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "data error: channel 'var0': degree-1 differences out of float64 range\n"
+    )
+
+
+def test_compare_refuses_nn_distances_out_of_float64_range_exits_2(tmp_path, capsys):
+    # finite values near 1e160 whose squared differences overflow
+    rng = np.random.default_rng(0)
+    instances = [Instance((1.0 + 3.0 * (i % 2)) * 1e160 * rng.uniform(0.9, 1.1, (1, 6)), i % 2)
+                 for i in range(10)]
+    data = write_dataset(tmp_path, TemporalDataset(instances, ["var0"], ["a", "b"], 6), "huge.csv")
+    for method in ("ed-i", "dtw-i", "dtw-d"):
+        assert _run_without_warnings(["compare", "--data", str(data), "--methods", method]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"data error: huge: {method}: the {method} distances are out of float64 range\n"
+        )
 
 
 def test_compare_rows_mirror_method_ladder(tmp_path, capsys):

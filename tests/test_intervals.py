@@ -143,6 +143,56 @@ def test_holds_on_alpha_monotone(rng):
             assert holds_on(channel, Interval(x, y), Comparator.LE, thr, a_lo, 0)
 
 
+@st.composite
+def _holds_on_cases(draw):
+    """A 2- to 10-point channel, an interval inside it, a degree below its
+    length, any comparator (``=`` with tolerance 0 or 0.25) and an alpha
+    from the grid or uniform on (0, 1].  Values and thresholds come from
+    coarse grids so that they coincide, also at the tolerance's edge."""
+    n = draw(st.integers(2, 10))
+    channel = [v / 2 for v in draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))]
+    x = draw(st.integers(0, n - 1))
+    interval = Interval(x, draw(st.integers(x + 1, n)))
+    comparator = draw(st.sampled_from(list(Comparator)))
+    tolerance = draw(st.sampled_from((0.0, 0.25))) if comparator is Comparator.EQ else 0.0
+    alpha = draw(st.sampled_from((0.3, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0))
+                 | st.floats(0.0, 1.0, exclude_min=True))
+    threshold = draw(st.integers(-6, 6)) / 4
+    return channel, interval, comparator, threshold, alpha, draw(st.integers(0, n - 1)), tolerance
+
+
+@settings(max_examples=400, deadline=None)
+@given(_holds_on_cases())
+def test_holds_on_matches_slow_holds_on_property(case):
+    channel, interval, comparator, threshold, alpha, z, tolerance = case
+    want = oracles.slow_holds_on(
+        channel, interval.x, interval.y, comparator, threshold, alpha, z, tolerance
+    )
+    assert holds_on(channel, interval, comparator, threshold, alpha, z, tolerance) == want
+
+
+def test_holds_on_refuses_an_interval_past_the_series_end():
+    # clipped to the three points, [1, 7] would hold
+    with pytest.raises(ValueError, match=r"interval \[1,7\] ends past the series' end"):
+        holds_on([1.0, 2.0, 3.0], Interval(1, 7), Comparator.GT, 0.0, 1.0, 0)
+
+
+def test_routing_reads_overflowed_differences_past_every_threshold():
+    # the true differences, +-3e308, lie beyond float64; as +-inf they
+    # compare as they would, and no overflow warning escapes
+    channels = np.array([[1.5e308, -1.5e308, 1.5e308, -1.5e308]])
+    for ref in (Interval(0, 1), Interval(1, 3)):
+        inst = Instance(channels, 0, reference=ref)
+        for rel in Rel:
+            for comparator in (Comparator.LE, Comparator.GT):
+                decision = TemporalDecision(rel, 0, 1, comparator, 0.0, 0.5)
+                want_sat, want_witness = oracles.slow_check(inst, decision)
+                got = check_decision(inst, decision)
+                assert got.satisfied == want_sat
+                got_witness = None if got.witness is None else (got.witness.x, got.witness.y)
+                assert got_witness == want_witness
+
+
 def test_check_decision_worked_example():
     inst = Instance(np.array([O2, PR, TE]), 0, reference=Interval(1, 2))
     decision = TemporalDecision(Rel.A, 1, 0, Comparator.GT, 105.0, 1.0)
