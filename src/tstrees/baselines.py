@@ -4,8 +4,9 @@ Euclidean, independent DTW, dependent DTW)."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -308,10 +309,22 @@ def _nearest_dtw_i(train: Sequence[Instance], queries: Sequence[Instance]) -> np
     return out
 
 
+@contextmanager
+def _in_float64_range(metric: str) -> Iterator[None]:
+    """Run distance arithmetic under ``np.errstate(over="raise")`` and turn
+    an overflow into a :class:`DataFormatError` that names the metric."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise DataFormatError(f"the {metric} distances are out of float64 range") from None
+
+
 def euclidean_i(a: Instance, b: Instance) -> float:
     """Independent Euclidean distance: the per-channel pointwise Euclidean
     distances, summed over channels."""
-    return float(_distances([a], [b], "ed-i")[0, 0])
+    with _in_float64_range("ed-i"):
+        return float(_distances([a], [b], "ed-i")[0, 0])
 
 
 def dtw(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
@@ -324,18 +337,21 @@ def dtw(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> flo
     sb = np.asarray(b, dtype=np.float64)
     if sa.size == 0 or sb.size == 0:
         raise ValueError("dtw requires non-empty sequences")
-    return float(_dtw(sa[:, None, None], sb[:, None, None])[0, 0])
+    with _in_float64_range("dtw"):
+        return float(_dtw(sa[:, None, None], sb[:, None, None])[0, 0])
 
 
 def dtw_i(a: Instance, b: Instance) -> float:
     """Independent DTW: one warp per channel, distances summed."""
-    return float(_distances([a], [b], "dtw-i")[0, 0])
+    with _in_float64_range("dtw-i"):
+        return float(_distances([a], [b], "dtw-i")[0, 0])
 
 
 def dtw_d(a: Instance, b: Instance) -> float:
     """Dependent DTW: a single warp where the local cost at (i, j) is the
     squared Euclidean distance between the column vectors at times i and j."""
-    return float(_distances([a], [b], "dtw-d")[0, 0])
+    with _in_float64_range("dtw-d"):
+        return float(_distances([a], [b], "dtw-d")[0, 0])
 
 
 def nn_predict(train: TemporalDataset, queries: Sequence[Instance], metric: str) -> list[int]:
@@ -348,16 +364,13 @@ def nn_predict(train: TemporalDataset, queries: Sequence[Instance], metric: str)
     :class:`DataFormatError` that names the metric."""
     if not train.instances:
         raise ValueError("nearest neighbour needs a non-empty training set")
-    try:
-        # a finite row minimum proves nothing: an ed-i pair with an inf channel may be nearest
-        with np.errstate(over="raise"):
-            if metric == "dtw-i":
-                _check_batch(train.instances, queries, metric)
-                dist = _nearest_dtw_i(train.instances, queries)
-            else:
-                dist = _distances(train.instances, queries, metric)
-    except FloatingPointError:
-        raise DataFormatError(f"the {metric} distances are out of float64 range") from None
+    # a finite row minimum proves nothing: an ed-i pair with an inf channel may be nearest
+    with _in_float64_range(metric):
+        if metric == "dtw-i":
+            _check_batch(train.instances, queries, metric)
+            dist = _nearest_dtw_i(train.instances, queries)
+        else:
+            dist = _distances(train.instances, queries, metric)
     # argmin returns the first minimum: the lowest index wins a tie
     return [train.instances[idx].class_index for idx in np.argmin(dist, axis=1).tolist()]
 

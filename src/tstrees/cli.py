@@ -35,7 +35,7 @@ from .evaluation import (
     metrics_lines,
     percent,
 )
-from .induction import classify, grow_static_tree, grow_tree, static_series_dataset
+from .induction import classify_all, grow_static_tree, grow_tree, static_series_dataset
 from .model import ModelBundle, load_model, save_model
 from .rendering import extract_class_theory, render_tree
 
@@ -248,8 +248,7 @@ def _cmd_predict(args) -> int:
     bundle = load_model(args.model)
     dataset = _load(args.data, args.format, args.class_column)
     _check_model_shape(dataset, bundle)
-    for inst in dataset.instances:
-        cls, _ = classify(bundle.tree, inst)
+    for cls, _ in classify_all(bundle.tree, dataset.instances):
         sys.stdout.write(bundle.class_names[cls] + "\n")
     return 0
 
@@ -258,7 +257,7 @@ def _cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
     dataset = _remap_to_model(_load(args.data, args.format, args.class_column), bundle)
     actual = [inst.class_index for inst in dataset.instances]
-    leaves = [classify(bundle.tree, inst) for inst in dataset.instances]
+    leaves = classify_all(bundle.tree, dataset.instances)
     matrix = ConfusionMatrix.tally([cls for cls, _ in leaves], actual, dataset.class_count)
     scores = []
     for true, (_, counts) in zip(actual, leaves):
@@ -303,7 +302,7 @@ _Runner = Callable[[TemporalDataset, TemporalDataset], list[int]]
 
 def _tj48_predict(config: LearnerConfig, train: TemporalDataset, test: TemporalDataset) -> list[int]:
     tree = grow_tree(train, config)
-    return [classify(tree, inst)[0] for inst in test.instances]
+    return [cls for cls, _ in classify_all(tree, test.instances)]
 
 
 def _nn_predict(metric: str, train: TemporalDataset, test: TemporalDataset) -> list[int]:
@@ -316,7 +315,7 @@ def _j48_predict(mask: FeatureMask, train: TemporalDataset, test: TemporalDatase
     tree = grow_static_tree(table, labels, LearnerConfig())
     test_table, _ = feature_table(test, mask)
     encoded = static_series_dataset(test_table, [inst.class_index for inst in test.instances])
-    return [classify(tree, inst)[0] for inst in encoded.instances]
+    return [cls for cls, _ in classify_all(tree, encoded.instances)]
 
 
 def _parse_method(method: str) -> _Runner:

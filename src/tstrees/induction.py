@@ -44,7 +44,7 @@ minimum is its canonical winner, and only that winner meets the total
 canonical tie-break across batches; the winner is independent of
 evaluation order.
 
-Growth hands each split node's instances to
+Growth and :func:`classify_all` hand each node's instances to
 :func:`tstrees.intervals.split_dataset`, which routes them all in one pass.
 """
 
@@ -71,7 +71,6 @@ from .core import (
     leaf_for_counts,
 )
 from .intervals import (
-    check_decision,
     point_spans,
     relation_rectangle,
     required_counts,
@@ -458,31 +457,36 @@ def grow_static_tree(
     return grow_tree(dataset, forced)
 
 
-def classify(tree: DecisionTree, instance: Instance) -> tuple[int, tuple[int, ...]]:
-    """Route one instance from the root reference [0, 1] down to a leaf.
+def classify_all(tree: DecisionTree, instances: Sequence[Instance]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each instance's leaf class and class-count vector, in input order.
+    From [0, 1], the instances that reach a node are routed together by the
+    rule that grew the tree (:func:`tstrees.intervals.split_dataset`), each
+    moving onto its witness at a satisfied modal node.  Every consumer of a
+    grown tree calls it."""
+    leaves: list = [None] * len(instances)
 
-    Satisfying a modal decision moves the instance onto the witness interval;
-    failing one leaves the reference unchanged.  Returns the reached leaf's
-    class and class-count vector.  This is the only code that applies a
-    grown tree: ``confusion``, ``predict``, ``evaluate`` and the tree methods
-    of ``compare`` and ``bench`` all route through it.
-    """
-    walker = instance.with_reference(ROOT_REFERENCE)
-    node = tree
-    while isinstance(node, Node):
-        result = check_decision(walker, node.decision)
-        if result.satisfied:
-            if result.witness is not None:
-                walker = walker.with_reference(result.witness)
-            node = node.left
-        else:
-            node = node.right
-    return node.class_index, node.class_counts
+    def walk(node: DecisionTree, batch: list[Instance]) -> None:
+        if not isinstance(node, Node):
+            for walker in batch:
+                leaves[walker.class_index] = (node.class_index, node.class_counts)
+        elif batch:
+            held, failed = split_dataset(batch, node.decision)
+            walk(node.left, held)
+            walk(node.right, failed)
+
+    # routing never reads a class, so each walker carries its input position as one
+    walk(tree, [Instance(inst.channels, k, ROOT_REFERENCE) for k, inst in enumerate(instances)])
+    return leaves
+
+
+def classify(tree: DecisionTree, instance: Instance) -> tuple[int, tuple[int, ...]]:
+    """One instance's leaf class and class counts: :func:`classify_all` on it."""
+    return classify_all(tree, [instance])[0]
 
 
 def confusion(tree: DecisionTree, dataset: TemporalDataset) -> ConfusionMatrix:
     """The tree's confusion matrix on a dataset (rows = predicted, columns =
-    true): the tally of :func:`classify` over its instances."""
-    predicted = [classify(tree, inst)[0] for inst in dataset.instances]
+    true): the tally of :func:`classify_all` over its instances."""
+    predicted = [cls for cls, _ in classify_all(tree, dataset.instances)]
     actual = [inst.class_index for inst in dataset.instances]
     return ConfusionMatrix.tally(predicted, actual, dataset.class_count)

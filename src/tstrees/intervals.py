@@ -11,10 +11,10 @@ grid (:func:`relation_rectangle`); :func:`successors` lists its cells,
 and decision checking and routing here and split search in
 :mod:`tstrees.induction` all read it.  :func:`allen_related` is the direct
 definition the tests compare it against.  One router reads it to decide a
-decision and pick its witness: :func:`split_dataset` is its batch call, as
-a tree is grown, :func:`check_decision` its one-instance call, as a tree
-is applied, and :func:`holds_on` its eq call on one interval, so all three
-follow one rule.
+decision and pick its witness, by a linear rule on interval ends, in O(N)
+memory per instance: :func:`split_dataset` is its batch call, as a tree is
+grown and applied, :func:`check_decision` its one-instance call and
+:func:`holds_on` its eq call on one interval.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     Comparator,
+    DataFormatError,
     Instance,
     Interval,
     IntervalRelation,
@@ -146,9 +147,8 @@ def required_count(alpha: float, n_points: int) -> int:
 
 @lru_cache(maxsize=256)
 def required_counts(alpha: float, n: int) -> np.ndarray:
-    """Table of :func:`required_count` for 0..n points.  Entry 0 is 1, so an
-    interval whose clipped point set is empty never holds."""
-    table = np.array([max(required_count(alpha, p), 1) for p in range(n + 1)], dtype=np.int64)
+    """Table of :func:`required_count` for 0..n points."""
+    table = np.array([required_count(alpha, p) for p in range(n + 1)], dtype=np.int64)
     table.flags.writeable = False
     return table
 
@@ -193,7 +193,9 @@ def holds_on(
     True iff at least ceil(alpha * |P|) of the interval's data-bearing points
     P satisfy ``A^z cmp threshold``; false when P is empty.  This is the eq
     decision of :func:`check_decision` on a one-channel instance standing on
-    ``interval``, which must end within the series.
+    ``interval``, which must end within the series.  At z >= 2 it raises
+    :class:`DataFormatError` when a lower-degree difference of the channel
+    leaves float64 range.
     """
     inst = Instance([channel_values], 0, interval)
     if interval.y > inst.series_length:
@@ -219,15 +221,26 @@ class WitnessResult:
             raise ValueError("a witness requires satisfaction")
 
 
+def _ratio(need: np.ndarray) -> tuple[int, int]:
+    """(num, den), the least ``need[p] / p`` over p >= 1 for alpha's
+    :func:`required_counts` table on 0..n: the least fraction >= alpha with
+    denominator <= n, whose ceilings on 1..n are alpha's (the float argmin
+    is exact, as such fractions differ by over 1 / n**2)."""
+    den = int((need[1:] / np.arange(1, need.size)).argmin()) + 1
+    return int(need[den]), den
+
+
 def _route(
     instances: list[Instance], decision: TemporalDecision
 ) -> list[Optional[tuple[int, int]]]:
     """Per instance, None if the decision fails at its reference, else its
     witness (x, y): the first satisfied cell of its successor rectangle in
-    row-major (x, y) order, which is ascending interval order (for eq, the
-    reference itself).  The instances, which share one series length, are
-    read together over the bounding box of their rectangles, which each
-    instance's own rectangle masks only when the references differ."""
+    row-major (x, y) order (for eq, the reference itself).  The instances
+    share one series length.  With alpha as num / den (:func:`_ratio`),
+    c satisfied points of p hold iff c * den - num * p >= 0, so a cell
+    holds iff its end term reaches its start term, and a row iff its
+    largest end term right of the row does.  At z >= 2 a lower-degree difference past
+    float64 range is a :class:`DataFormatError`: it would read as inf."""
     m = len(instances)
     n = instances[0].series_length
     attr, z = decision.attribute_index, decision.derivative_degree
@@ -246,68 +259,55 @@ def _route(
     rect = None
     if x.count(x[0]) == m and y.count(y[0]) == m:
         r1, r2, c1, c2 = relation_rectangle(decision.relation, x[0], y[0], n)
-        u0, u1, v0, v1 = max(r1, 0), min(r2, n), max(c1, 0), min(c2, n)
-    else:
-        # rows r1, r2, c1, c2: each instance's successor rectangle, clipped
+    else:  # rows r1, r2, c1, c2: each instance's successor rectangle
         rect = np.array(np.broadcast_arrays(
-            *relation_rectangle(decision.relation, np.array(x), np.array(y), n)))
-        np.maximum(rect[0::2], 0, out=rect[0::2])
-        np.minimum(rect[1::2], n, out=rect[1::2])
-        live = (rect[0] <= rect[1]) & (rect[2] <= rect[3])
-        if not live.any():
-            return [None] * m
-        (u0, v0), (u1, v1) = rect[0::2, live].min(1).tolist(), rect[1::2, live].max(1).tolist()
+            *relation_rectangle(decision.relation, np.array(x), np.array(y), n)))[..., None]
+        (r1, c1), (r2, c2) = rect[0::2].min(1).ravel().tolist(), rect[1::2].max(1).ravel().tolist()
+    # the box: every row has a data-bearing point and a column right of it
+    v1 = min(c2, n)
+    u0, u1 = max(r1, 0), min(r2, n - z, v1 - 1)
+    v0 = max(c1, u0 + 1)
     if u0 > u1 or v0 > v1:
         return [None] * m
 
-    if z:
-        with np.errstate(over="ignore"):  # exact at z = 1: an inf lies past every finite threshold
-            values = np.diff(values, n=z, axis=1)
+    for degree in range(1, z + 1):
+        with np.errstate(over="ignore"):
+            values = np.diff(values, axis=1)
+        if degree < z and not np.isfinite(values).all():
+            raise DataFormatError(
+                f"attribute {attr}: degree-{degree} differences out of float64 range")
     point_ok = compare_values(values, decision.comparator, decision.threshold, decision.eq_tolerance)
-    starts, ends, need = _span_counts(decision.alpha, n, z)
-    # cum[i, t]: instance i's satisfied points in 1..t
-    cum = np.zeros((m, n - z + 1), dtype=need.dtype)
-    np.add.accumulate(point_ok, axis=1, dtype=need.dtype, out=cum[:, 1:])
-    # cell [u, v] holds iff its points satisfied up to the span's end, less
-    # those before its start, meet what the cell needs
-    to_end = cum.take(ends[v0 : v1 + 1], axis=1)[:, None]
-    before = cum.take(starts[u0 : u1 + 1], axis=1)[..., None]
-    ok = to_end - before >= need[u0 : u1 + 1, v0 : v1 + 1]
-    if rect is not None:
-        u, v = np.arange(u0, u1 + 1), np.arange(v0, v1 + 1)
-        in_u = (rect[0, :, None] <= u) & (u <= rect[1, :, None])
-        in_v = (rect[2, :, None] <= v) & (v <= rect[3, :, None])
-        ok &= in_u[:, :, None] & in_v[:, None, :]
-    ok = ok.reshape(m, -1)
-    width = v1 - v0 + 1
-    return [(u0 + f // width, v0 + f % width) if ok[i, f] else None
-            for i, f in enumerate(ok.argmax(axis=1).tolist())]
-
-
-@lru_cache(maxsize=8)
-def _span_counts(alpha: float, n: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For degree ``z`` over raw length ``n``: the prefix-count index before
-    each start u (``lo - 1``) and at each end v (``hi``), and the (n + 1,
-    n + 1) grid of the satisfied points cell [u, v] needs: ``required_counts``
-    of its span's length, or n + 1, never met, where u >= v.  Counts take
-    the smallest integer type that holds n + 1; wider ones made checks on
-    150-point series up to 1.9x slower.  A grid is 45 KiB at n = 150."""
-    lo, hi = point_spans(np.arange(n + 1), np.arange(n + 1), n, z)
-    need = required_counts(alpha, n).astype(np.min_scalar_type(-n - 2))
-    need = need.take(hi - lo[:, None] + 1, mode="clip")
-    need[np.tri(n + 1, dtype=bool)] = n + 1
-    tables = (lo - 1, hi, need)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    num, den = _ratio(required_counts(decision.alpha, n))
+    # term[i, t] = den * (satisfied points in 1..t) - num * t; cell [u, v]'s
+    # end term is term[hi[v]] and its start term term[lo[u] - 1]
+    term = np.zeros((m, n - z + 1), dtype=np.int64)
+    np.add.accumulate(np.where(point_ok, den - num, -num), axis=1, out=term[:, 1:])
+    u, v = np.arange(u0, u1 + 1), np.arange(v0, v1 + 1)
+    lo, hi = point_spans(u, v, n, z)
+    start, end = term.take(lo - 1, axis=1), term.take(hi, axis=1)
+    if rect is not None:  # cells off an instance's own rectangle never hold
+        start[(u < rect[0]) | (u > rect[1])] = np.iinfo(np.int64).max
+        end[(v < rect[2]) | (v > rect[3])] = np.iinfo(np.int64).min
+    # row u reads the box's columns from first[u - u0] on (v > u): a suffix maximum
+    first = np.maximum(u - (v0 - 1), 0)
+    best = np.maximum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+    rows_ok = best.take(first, axis=1) >= start
+    row = rows_ok.argmax(axis=1)
+    at = np.arange(m)
+    col_ok = (end >= start[at, row][:, None]) & (v - v0 >= first[row][:, None])
+    col = col_ok.argmax(axis=1)
+    return [(u0 + r, v0 + c) if held else None
+            for r, c, held in zip(row.tolist(), col.tolist(), rows_ok[at, row].tolist())]
 
 
 def check_decision(instance: Instance, decision: TemporalDecision) -> WitnessResult:
     """Evaluate a decision at the instance's current reference interval by
-    the rule that grows a tree: the router of :func:`split_dataset`, called
-    on one instance.  The witness is the first satisfied successor in
-    ascending (x, y) order; for eq there is none, as the reference never
-    moves."""
+    the rule that grows and applies a tree: the router of
+    :func:`split_dataset`, called on one instance.  The witness is the
+    first satisfied successor in ascending (x, y) order; for eq there is
+    none, as the reference never moves.  At z >= 2 it raises
+    :class:`DataFormatError` when a lower-degree difference of the channel
+    leaves float64 range."""
     (witness,) = _route([instance], decision)
     if witness is None or decision.relation is Rel.EQ:
         return WitnessResult(witness is not None, None)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from tstrees.baselines import (
     nn_classify,
     nn_predict,
 )
-from tstrees.core import Instance, TemporalDataset
+from tstrees.core import DataFormatError, Instance, TemporalDataset
 
 import oracles
 
@@ -584,3 +585,20 @@ def test_pruning_with_nan_and_inf():
             assert np.argmin(baselines._nearest_dtw_i(series, queries), axis=1).tolist() == want
         train = TemporalDataset(finite, ["a", "b"], ["u", "v"], 3)
         assert nn_predict(train, queries, "dtw-i") == _full_dtw_i_argmin(train, queries)
+
+
+def test_one_pair_distances_out_of_float64_range_raise_without_a_warning():
+    # (4e160 - 1e160) ** 2 overflows; nn_predict refuses it, and so must the
+    # one-pair calls, not warn and return inf
+    a, b = [1e160, 2e160], [4e160, 5e160]
+    ia, ib = Instance(np.array([a]), 0), Instance(np.array([b]), 0)
+    calls = [("dtw", dtw, a, b), ("ed-i", euclidean_i, ia, ib), ("dtw-i", dtw_i, ia, ib),
+             ("dtw-d", dtw_d, ia, ib)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for metric, distance, x, y in calls:
+            with pytest.raises(DataFormatError, match=f"the {metric} distances are out of float64 range"):
+                distance(x, y)
+        train = TemporalDataset([ia], ["a"], ["u"], 2)
+        with pytest.raises(DataFormatError, match="the dtw-d distances are out of float64 range"):
+            nn_predict(train, [ib], "dtw-d")

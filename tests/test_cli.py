@@ -565,3 +565,26 @@ def test_bench_grid(tmp_path, capsys):
     assert "alpha" in head and "beta" in head
     lines = report.read_text().splitlines()
     assert len(lines) == 4  # 2 datasets x 2 methods
+
+
+def test_predict_and_evaluate_refuse_lower_degree_differences_out_of_float64_range_exits_2(
+    tmp_path, capsys
+):
+    # the second difference of the first series is -3.4e306, which holds
+    # > -1e307, but its first difference 1.79e308 + 2e306 overflows, so
+    # routing at degree 2 would read -inf
+    rows = ([-1.79e308, 2e306, 1.796e308], [1.0, 2.0, 3.0])
+    ds = TemporalDataset([Instance(np.array([row]), k) for k, row in enumerate(rows)],
+                         ["var0"], ["a", "b"], 3)
+    tree = Node(TemporalDecision(Rel.EQ, 0, 2, Comparator.GT, -1e307, 1.0), Leaf(0, (1, 0)),
+                Leaf(1, (0, 1)))
+    model_path = tmp_path / "model.json"
+    save_model(model_path, ModelBundle(tree, ds.attribute_names, ds.class_names, 3,
+                                       LearnerConfig(max_derivative=2)))
+    data = write_dataset(tmp_path, ds)
+    for command in ("predict", "evaluate"):
+        assert _run_without_warnings([command, "--model", str(model_path), "--data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "data error: attribute 0: degree-1 differences out of float64 range\n"
+        )

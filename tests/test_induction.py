@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import (
     Comparator,
+    FULL_HS,
     Instance,
     Interval,
     IntervalRelation,
@@ -17,6 +18,7 @@ from tstrees.core import (
     LearnerConfig,
     Node,
     TemporalDataset,
+    TemporalDecision,
     iter_leaves,
     iter_nodes,
 )
@@ -26,6 +28,7 @@ from tstrees.induction import (
     best_split,
     candidate_thresholds,
     classify,
+    classify_all,
     confusion,
     grow_static_tree,
     grow_tree,
@@ -701,3 +704,76 @@ def test_stopping_soundness(rng):
         too_small = leaf.total < 2 * cfg.min_leaf_size
         if not (pure_enough or too_small):
             assert best_split(members, cfg) is None
+
+
+def _leaves_in_order(draw, depth, n, c, leaves):
+    """A random tree of depth <= ``depth`` whose leaf j (in drawing order)
+    carries the counts (j + 1,), so that the leaf an instance reaches is
+    known from its counts alone."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        leaves.append(None)
+        return Leaf(0, (len(leaves),))
+    decision = TemporalDecision(
+        relation=draw(st.sampled_from(FULL_HS)),
+        attribute_index=draw(st.integers(0, c - 1)),
+        derivative_degree=draw(st.integers(0, min(2, n - 1))),
+        comparator=draw(st.sampled_from((Comparator.LE, Comparator.GT))),
+        threshold=draw(st.integers(-6, 6)) / 4,
+        alpha=draw(st.sampled_from((0.3, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0))
+                   | st.floats(0.01, 1.0, allow_subnormal=False)),
+    )
+    left = _leaves_in_order(draw, depth - 1, n, c, leaves)
+    return Node(decision, left, _leaves_in_order(draw, depth - 1, n, c, leaves))
+
+
+@st.composite
+def _walks(draw):
+    """One to twelve instances of one or two channels over 2 to 40 points,
+    with values on a coarse grid, and a tree of depth <= 3 over every
+    relation, ``<=`` and ``>``, degree up to 2 and grid or uniform alphas."""
+    n, c = draw(st.integers(2, 40)), draw(st.integers(1, 2))
+    instances = [
+        Instance(np.array(draw(st.lists(st.integers(-2, 2), min_size=c * n, max_size=c * n)),
+                          dtype=np.float64).reshape(c, n) / 2, 0)
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    return _leaves_in_order(draw, 3, n, c, []), instances
+
+
+def _long_walk(n):
+    """Four series of 0/1 values over ``n`` points and a depth-2 tree whose
+    modal decisions move them onto different witnesses."""
+    rng = np.random.default_rng(n)
+    instances = [Instance((rng.random((1, n)) < 0.75).astype(float), 0) for _ in range(4)]
+    tree = Node(
+        TemporalDecision(Rel.BI, 0, 0, Comparator.GT, 0.5, 0.9),
+        Node(TemporalDecision(Rel.L, 0, 1, Comparator.LE, 0.5, 0.6), Leaf(0, (1,)), Leaf(0, (2,))),
+        Node(TemporalDecision(Rel.A, 0, 2, Comparator.GT, -0.5, 0.75), Leaf(0, (3,)), Leaf(0, (4,))),
+    )
+    return tree, instances
+
+
+def _slow_walk(tree, instance):
+    """The leaf one instance reaches, one ``oracles.slow_check`` per node."""
+    walker, node = instance.with_reference(Interval(0, 1)), tree
+    while isinstance(node, Node):
+        ok, witness = oracles.slow_check(walker, node.decision)
+        if ok and witness is not None:
+            walker = walker.with_reference(Interval(*witness))
+        node = node.left if ok else node.right
+    return node.class_index, node.class_counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_walks())
+@example(_long_walk(126))
+@example(_long_walk(150))
+def test_classify_all_matches_a_slow_walk_per_instance_property(walk):
+    """Routing a batch node by node reaches, for every instance, the leaf
+    that a walk of its own by the definition reaches, although the
+    instances that meet at a node may stand on different witnesses; and
+    ``classify``, its one-instance call, agrees."""
+    tree, instances = walk
+    want = [_slow_walk(tree, inst) for inst in instances]
+    assert classify_all(tree, instances) == want
+    assert [classify(tree, inst) for inst in instances] == want

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tstrees.core import Comparator, Instance, Interval, IntervalRelation, TemporalDecision
+from tstrees.core import (
+    Comparator,
+    DataFormatError,
+    Instance,
+    Interval,
+    IntervalRelation,
+    TemporalDecision,
+)
 from tstrees.intervals import (
+    _ratio,
     allen_related,
     check_decision,
     derivative,
@@ -11,6 +19,7 @@ from tstrees.intervals import (
     holds_on,
     relation_rectangle,
     required_count,
+    required_counts,
     split_dataset,
     successors,
 )
@@ -450,3 +459,34 @@ def test_routing_on_long_series_matches_slow_check(n):
             assert [inst.reference for inst in t2] == [
                 inst.reference for inst, (ok, _) in zip(batch, want) if not ok]
     assert outcomes == {(rel, ok) for rel in Rel for ok in (False, True)}
+
+
+def test_router_fraction_reproduces_the_needed_counts_at_every_boundary():
+    """The router reads alpha as the fraction num / den of ``_ratio`` and
+    holds an interval of p points with c satisfied iff c * den >= num * p,
+    so ceil(p * num / den) must be alpha's needed count for every p <= n.
+    Checked at alpha = k / p and at the floats on either side of it, where a
+    ceiling changes, for every 1 <= k <= p <= 60 and n <= 60 (a table on
+    0..n is the first n + 1 entries of the table on 0..60)."""
+    points = np.arange(1, 61)
+    for p in range(1, 61):
+        for k in range(1, p + 1):
+            for alpha in (k / p, np.nextafter(k / p, 0), np.nextafter(k / p, 2)):
+                if alpha > 1:
+                    continue
+                need = required_counts(float(alpha), 60)
+                for n in range(1, 61):
+                    num, den = _ratio(need[: n + 1])
+                    assert den <= n and num <= den
+                    assert np.array_equal(-(-num * points[:n] // den), need[1 : n + 1]), (k, p, alpha, n)
+
+
+def test_routing_refuses_lower_degree_differences_out_of_float64_range():
+    # the true second difference is -3.4e306, which holds > -1e307, but the
+    # first difference 1.79e308 + 2e306 overflows and would read it as -inf
+    inst = Instance(np.array([[-1.79e308, 2e306, 1.796e308]]), 0)
+    decision = TemporalDecision(Rel.EQ, 0, 2, Comparator.GT, -1e307, 1.0)
+    with pytest.raises(DataFormatError, match="attribute 0: degree-1 differences out of float64 range"):
+        check_decision(inst, decision)
+    with pytest.raises(DataFormatError):
+        split_dataset([inst, inst], decision)
