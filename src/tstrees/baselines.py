@@ -109,7 +109,13 @@ def feature_table(dataset: TemporalDataset, mask: FeatureMask) -> tuple[np.ndarr
 #: (n, columns) arrays to the pass.  At 30 points this is 396 columns
 #: (96 KiB per buffer).  On the racket-compare benchmark, before the `dtw-i`
 #: pruning, half the cap ran about 20 % slower, and twice the cap about 5 %
-#: faster for about 0.45 MiB more peak RSS.
+#: faster for about 0.45 MiB more peak RSS.  A `dtw-d` pass over c > 1
+#: channels also holds a channel buffer of c times a buffer's cells, where
+#: each diagonal's c squared differences are summed by one reduce instead of
+#: c - 1 adds.  At 30 points and 6 channels it is 557 KiB; on a 2-vCPU VM it
+#: cut `nn_predict` on 96 x 24 racket-sized series from about 21 to 18 ms,
+#: for 0.42 MiB more tracemalloc peak and about 0.4 MiB (1.2 %) more peak
+#: RSS on the racket-compare benchmark.
 _PASS_CELLS = 12_288
 
 
@@ -147,7 +153,8 @@ def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     back1 = np.full(shape, np.inf)  # diagonal k - 1
     cur = np.full(shape, np.inf)
     cost = np.empty((n,) + shape[1:])
-    extra = np.empty_like(cost) if c > 1 else None
+    # the channel buffer: one diagonal's c squared differences side by side
+    channels = np.empty((n, c) + shape[1:]) if c > 1 else None
     back2[0] = 0.0  # diagonal 0 is D[0, 0] = 0, the start of every warp
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
@@ -155,13 +162,16 @@ def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
         # j - 1 = k - i - 1 falls as i rises, so the query slice is reversed
         steps = queries[k - hi - 1 : k - lo][::-1]
         diag = cost[: hi - lo + 1]
-        np.subtract(series[:, 0], steps[:, 0], out=diag)
-        np.multiply(diag, diag, out=diag)
-        for ch in range(1, c):
-            part = extra[: hi - lo + 1]
-            np.subtract(series[:, ch], steps[:, ch], out=part)
+        if c == 1:
+            np.subtract(series[:, 0], steps[:, 0], out=diag)
+            np.multiply(diag, diag, out=diag)
+        else:
+            # a reduce over the channel axis, which is not the innermost,
+            # adds the channels one by one in channel order
+            part = channels[: hi - lo + 1]
+            np.subtract(series, steps, out=part)
             np.multiply(part, part, out=part)
-            np.add(diag, part, out=diag)
+            np.add.reduce(part, axis=1, out=diag)
         best = cur[lo : hi + 1]
         np.minimum(back1[lo - 1 : hi], back1[lo : hi + 1], out=best)
         np.minimum(best, back2[lo - 1 : hi], out=best)

@@ -19,30 +19,38 @@ searches a numeric attribute (Quinlan 1993).  Each point value is replaced
 by its rank among the sorted candidate thresholds.  An interval of p
 data-bearing points satisfies ``A <= t`` at alpha exactly when its k-th
 smallest value is <= t, and ``A > t`` exactly when its k-th largest value
-is > t, with k = ceil(alpha * p).  Nothing is sorted: per (attribute, degree),
-the sorted windows of p + 1 points grow from those of p points by inserting
-one point, start-major so that each step is one contiguous run per position,
-and per (comparator, alpha) their order statistics go into one packed
-(windows x instances) table (:func:`_order_statistics`).  Per (comparator,
-alpha, relation), one plain min (or max) down the table rows of the reached
-intervals gives each instance its critical value, once the entries off its
-mask are bounded to the never value; per (comparator, alpha), cumulative
-class counts over the critical values give the partition at every (relation,
-threshold) at once.  Only the first threshold of each distinct partition is
-scored.  On 96 x 6 Gaussian series with the racket-train config (2-vCPU VM;
-medians over three to six processes of each one's best time), a root search
-at N = 150 took 2.1 s with a 17.9 MiB tracemalloc peak when it sorted every
-window, 0.35 s with 15.8 MiB after insertion into (instances x windows)
-tables reduced under (instances x intervals) masks, and takes 0.10 s with
-10.8 MiB in this layout; at N = 30, 35 ms, 27 ms and 13 ms.
+is > t, with k = ceil(alpha * p).  Nothing is sorted.  Per degree, the
+attributes with thresholds are searched in batches of as many as the table
+budget :data:`_TABLE_CELLS` allows, side by side on the instance axis; per
+batch, the sorted windows of p + 1 points grow from those of p points by
+inserting one point, start-major so that each step is one contiguous run per
+position, and per (comparator, alpha) their order statistics go into one
+packed (windows x columns) table (:func:`_order_statistics`).  Per
+(comparator, alpha, relation), one plain min (or max) down the table rows of
+the reached intervals gives each (attribute, instance) its critical value,
+once the entries off its mask are bounded to the never value; per
+(comparator, alpha), cumulative class counts over the critical values give
+the partition at every (attribute, relation, threshold) of the batch at
+once.  Only the first threshold of each distinct partition is scored.  On 96
+x 6 Gaussian series with the racket-train config (2-vCPU VM; medians over
+three to six processes of each one's best time), a root search at N = 150
+took 2.1 s with a 17.9 MiB tracemalloc peak when it sorted every window,
+0.35 s with 15.8 MiB after insertion into (instances x windows) tables
+reduced under (instances x intervals) masks, and 0.10 s with 10.8 MiB in
+the start-major layout; at N = 30, 35 ms, 27 ms and 13 ms.  The budget keeps
+one attribute per batch there, and a batch frees its tables before the next
+is built: re-measured side by side, N = 30 went from 6.1 to 5.8 ms and
+0.65 to 0.49 MiB, N = 150 from 51 to 49 ms and 10.8 to 6.6 MiB, and N = 300
+from 436 to 423 ms and 41.4 to 24.8 MiB.  j48's static path puts all its
+features in one batch, which halves its split search on racket-compare.
 
-Candidates are scored in batches.  Each (attribute, degree, comparator,
-alpha) yields one batch of satisfying-side class counts, scored in one array
-pass that equals :func:`info_split` bit for bit (:func:`_split_scorer`).
-The batch lists its rows in (relation order, threshold) order, so its first
+Candidates are scored together.  Each (batch, degree, comparator, alpha)
+yields one array of satisfying-side class counts, scored in one array pass
+that equals :func:`info_split` bit for bit (:func:`_split_scorer`).  Its
+rows run in (attribute, relation order, threshold) order, so its first
 minimum is its canonical winner, and only that winner meets the total
-canonical tie-break across batches; the winner is independent of
-evaluation order.
+canonical tie-break across sweeps and batches; the winner is independent of
+evaluation order and of how the attributes are batched.
 
 Growth and :func:`classify_all` hand each node's instances to
 :func:`tstrees.intervals.split_dataset`, which routes them all in one pass.
@@ -142,46 +150,63 @@ class SplitCandidate:
     partition_sizes: tuple[int, int]
 
 
+#: Cells that the sweep tables of one batch of :func:`best_split` may hold.
+#: Per degree, the attributes with thresholds are searched in batches, side
+#: by side on the instance axis; an attribute counts sweeps x (1 +
+#: N_z(N_z + 1) / 2) rows x m instances, one byte each while there are at
+#: most 127 thresholds, and a batch takes as many attributes as fit (at
+#: least one), as :data:`tstrees.baselines._PASS_CELLS` caps a DTW pass.  The
+#: racket-train root (96 instances, 30 points, four sweeps) keeps one
+#: attribute per batch, and j48's 12 static features (two points, two
+#: sweeps) go in one.
+_TABLE_CELLS = 2**18
+
+
 def _order_statistics(
-    deriv: np.ndarray,
-    thresholds: list[float],
+    derivs: Sequence[np.ndarray],
+    thresholds: Sequence[list[float]],
     lo: np.ndarray,
     length: np.ndarray,
     sweeps: list[tuple[Comparator, float]],
     n: int,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """For each (comparator, alpha) of ``sweeps``, a packed table of the
-    threshold ranks that decide each instance's windows, and the rows ``at``
-    such that ``table[at]`` is the (K, m) array for the intervals: interval
-    k covers the data-bearing points ``lo[k] .. lo[k] + length[k] - 1``.
+    """For one batch of B attributes, each an (m, points) array of ``derivs``
+    with its ascending ``thresholds``, and for each (comparator, alpha) of
+    ``sweeps``, a packed table of the threshold ranks that decide each
+    instance's windows, with attribute a in columns a * m .. a * m + m - 1;
+    and the rows ``at`` such that ``table[at]`` is the (K, B * m) array for
+    the intervals: interval k covers the data-bearing points
+    ``lo[k] .. lo[k] + length[k] - 1``.
 
-    A value's rank is the number of thresholds below it, so ``x <= t_j`` iff
-    rank <= j and ``x > t_j`` iff rank > j.  An interval of p points
-    satisfies ``A <= t_j`` at alpha iff its k-th smallest rank is <= j, and
-    ``A > t_j`` iff its k-th largest rank is > j, with
+    A value's rank is the number of its attribute's thresholds below it, so
+    ``x <= t_j`` iff rank <= j and ``x > t_j`` iff rank > j.  An interval of
+    p points satisfies ``A <= t_j`` at alpha iff its k-th smallest rank is
+    <= j, and ``A > t_j`` iff its k-th largest rank is > j, with
     k = ``required_counts(alpha, n)[p]``.  Nothing is sorted: the sorted
     windows of p + 1 points come from those of p points by inserting the
     next point x, as ``min(w[j], max(w[j - 1], x))`` at each position j.
-    They are kept start-major, (position, start, instance), with the ranks
-    taken from ``deriv.T``, so that each insertion step runs over one
-    contiguous block of (N - p) * m values per position and every order
-    statistic is a basic slice.  Table row ``offset[p] + i`` holds the
-    p-point windows from point i + 1, one column per instance; row 0 is the
-    empty window, with rank t (resp. -1), which never holds.  Ranks and
-    tables use the smallest integer type that holds -t - 1 .. t (int8 for
-    up to 127 thresholds).
+    They are kept start-major, (position, start, column), with the ranks
+    taken point-major, so that each insertion step runs over one contiguous
+    block of (N - p) * B * m values per position and every order statistic
+    is a basic slice.  Table row ``offset[p] + i`` holds the p-point windows
+    from point i + 1; row 0 is the empty window, which never holds: it reads
+    t (resp. -1), t being the batch's largest threshold count, above every
+    threshold index of every attribute.  Ranks and tables use the smallest
+    integer type that holds -t - 1 .. t (int8 for up to 127 thresholds).
     """
-    m, points = deriv.shape
-    t = len(thresholds)
+    m, points = derivs[0].shape
+    t = max(map(len, thresholds))
     dtype = np.min_scalar_type(-t - 1)
     # np.add.accumulate, not np.cumsum, for the reason given in best_split
     offset = np.concatenate(([0, 1], 1 + np.add.accumulate(np.arange(points, 0, -1))))
-    ranks = np.searchsorted(thresholds, deriv.T, side="left").astype(dtype)
+    ranks = np.empty((points, len(derivs) * m), dtype=dtype)
+    for a, (deriv, thr) in enumerate(zip(derivs, thresholds)):
+        ranks[:, a * m : (a + 1) * m] = np.searchsorted(thr, deriv.T, side="left")
     tables = [
-        np.full((offset[-1], m), t if comparator is Comparator.LE else -1, dtype=dtype)
+        np.full((offset[-1], ranks.shape[1]), t if comparator is Comparator.LE else -1, dtype=dtype)
         for comparator, _ in sweeps
     ]
-    window = ranks[None]  # window[j, s, i]: j-th smallest of i's window from s
+    window = ranks[None]  # window[j, s, col]: j-th smallest of col's window from s
     for size in range(1, points + 1):
         if size > 1:
             x, kept = ranks[size - 1 :], window[:, :-1]
@@ -195,6 +220,26 @@ def _order_statistics(
             j = k - 1 if comparator is Comparator.LE else size - k
             table[offset[size] : offset[size + 1]] = window[j]
     return tables, np.where(length > 0, offset[length] + lo - 1, 0)
+
+
+def _critical_ranks(table: np.ndarray, reached: list, smallest: bool, b: int) -> np.ndarray:
+    """The (R, B * m) critical ranks of one sweep's ``table`` for a batch of
+    B attributes: entry [r, a * m + i] is instance i's critical rank for
+    attribute a under the r-th mask of ``reached``, the min (for ``<=``,
+    ``smallest``) or max (for ``>``) down the mask's rows, bounded to the
+    never value off the instance's mask when the mask has bounds.  Instance
+    i satisfies the modality at its attribute's thresholds[j] iff its
+    critical rank is <= j (resp. > j)."""
+    m = table.shape[1] // b
+    reduce = np.minimum.reduce if smallest else np.maximum.reduce
+    bound, side = (np.maximum, 0) if smallest else (np.minimum, 1)
+    crit = np.empty((len(reached), table.shape[1]), dtype=table.dtype)
+    for k, (rows, bounds) in enumerate(reached):
+        stat = table[rows].reshape(len(rows), b, m)
+        if bounds is not None:
+            bound(stat, bounds[side], out=stat)
+        reduce(stat, axis=0, out=crit[k].reshape(b, m))
+    return crit
 
 
 def _split_scorer(parent_counts: np.ndarray, low: int):
@@ -279,96 +324,99 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     best_key: Optional[tuple] = None
     best_cand: Optional[SplitCandidate] = None
 
-    def consider(c1, rel_at, thr_at, thresholds, attr, comparator, alpha, z) -> None:
-        """Score one batch of candidates of an (attribute, degree,
-        comparator, alpha), given as the satisfying-side class counts ``c1``
-        in (relation rank, threshold) order with their mask and threshold
-        indices; the first minimum is the batch's canonical winner, and it
-        is kept if it beats the best so far."""
-        nonlocal best_key, best_cand
-        if not len(c1):
-            return
-        si = score(c1)
-        w = int(si.argmin())
-        rel = masks[rel_at[w]][0]
-        key = (float(si[w]), attr, rel.rank, comparator.rank, thresholds[thr_at[w]], alpha, z)
-        if key[0] >= parent_info or (best_key is not None and key >= best_key):
-            return
-        n1 = int(c1[w].sum())
-        best_key = key
-        best_cand = SplitCandidate(
-            decision=TemporalDecision(
-                relation=rel,
-                attribute_index=attr,
-                derivative_degree=z,
-                comparator=comparator,
-                threshold=key[4],
-                alpha=alpha,
-            ),
-            split_info=key[0],
-            partition_sizes=(n1, m - n1),
-        )
-
     sweeps = [(cmp, alpha) for cmp in config.comparators for alpha in config.alpha_grid]
-    for attr in range(channels.shape[1]):
-        deriv = channels[:, attr, :]
-        for z in range(0, min(config.max_derivative, n - 1) + 1):
-            if z:
-                deriv = np.diff(deriv, axis=1)
-            thresholds = candidate_thresholds(deriv.ravel(), config.max_threshold_candidates)
-            if not thresholds:
-                continue
-            t = len(thresholds)
-            lo, hi = point_spans(u, v, n, z)
-            length = np.maximum(hi - lo + 1, 0)
-            tables, at = _order_statistics(deriv, thresholds, lo, length, sweeps, n)
+    r = len(masks)
+    deriv = channels
+    for z in range(0, min(config.max_derivative, n - 1) + 1):
+        if z:
+            deriv = np.diff(deriv, axis=2)
+        searched = []  # (attribute, thresholds) of the attributes with thresholds
+        for attr in range(channels.shape[1]):
+            thresholds = candidate_thresholds(deriv[:, attr].ravel(), config.max_threshold_candidates)
+            if thresholds:
+                searched.append((attr, thresholds))
+        lo, hi = point_spans(u, v, n, z)
+        length = np.maximum(hi - lo + 1, 0)
+        points = n - z
+        per_batch = max(1, _TABLE_CELLS // (len(sweeps) * (1 + points * (points + 1) // 2) * m))
+        for first in range(0, len(searched), per_batch):
+            batch = searched[first : first + per_batch]
+            b = len(batch)
+            counts = np.array([len(thresholds) for _, thresholds in batch])
+            t = int(counts.max())
+            tables, at = _order_statistics(
+                [deriv[:, attr] for attr, _ in batch],
+                [thresholds for _, thresholds in batch],
+                lo, length, sweeps, n,
+            )
             # per relation, the table rows of its reached intervals and, when
             # the references differ, bounds that turn every entry off an
-            # instance's mask into the never value: np.maximum with the first
-            # (0 on the mask, t off it) for <=, np.minimum with the second (t
-            # on, -1 off) for >.  A plain reduction of the bounded rows then
-            # equals the masked one, without the branching that a where=
-            # reduction (or np.where) pays on scattered masks.
+            # instance's mask into the never value, broadcast over the
+            # batch's attributes: np.maximum with the first (0 on the mask,
+            # t off it) for <=, np.minimum with the second (t on, -1 off) for
+            # >.  A plain reduction of the bounded rows then equals the
+            # masked one, without the branching that a where= reduction (or
+            # np.where) pays on scattered masks.
             reached = []
             for _, reach, mask in masks:
                 if mask is None:
                     reached.append((at[reach], None))
                     continue
-                off = (~mask).astype(tables[0].dtype)
+                off = (~mask).astype(tables[0].dtype)[:, None]
                 reached.append((at[reach], (off * t, off * (-t - 1) + t)))
-            # bincount offsets: row (r, rank + 1, class) of a (R, t + 2, q) table
-            base = (np.arange(len(masks)) * (t + 2) + 1)[:, None] * q + classes
+            # bincount offsets: row (a, r, rank + 1, class) of a (B, R, t + 2,
+            # q) table, laid out as crit is, (R, B * m)
+            cell = np.arange(b) * r + np.arange(r)[:, None]
+            base = ((cell * (t + 2) + 1)[:, :, None] * q + classes).reshape(r, b * m)
+            # attribute a has thresholds 0 .. counts[a] - 1 only
+            real = (np.arange(t) < counts[:, None])[:, None, :]
             for (comparator, alpha), table in zip(sweeps, tables):
                 smallest = comparator is Comparator.LE
-                reduce = np.minimum.reduce if smallest else np.maximum.reduce
-                bound, side = (np.maximum, 0) if smallest else (np.minimum, 1)
-                # crit[r, i]: instance i's critical rank under masks[r]; it
-                # satisfies the modality at thresholds[j] iff crit <= j
-                # (resp. > j)
-                crit = np.empty((len(masks), m), dtype=table.dtype)
-                for r, (rows, bounds) in enumerate(reached):
-                    stat = table[rows]
-                    if bounds is not None:
-                        bound(stat, bounds[side], out=stat)
-                    reduce(stat, axis=0, out=crit[r])
-                # le[r, j, c]: instances of class c whose critical rank under
-                # masks[r] is <= j
+                crit = _critical_ranks(table, reached, smallest, b)
+                # le[a, r, j, c]: instances of class c whose critical rank
+                # for attribute a under masks[r] is <= j
                 bins = (base + q * crit.astype(np.intp)).ravel()
-                hist = np.bincount(bins, minlength=len(masks) * (t + 2) * q)
+                hist = np.bincount(bins, minlength=b * r * (t + 2) * q)
                 # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
                 # form leaves fresh name strings in CPython's type cache
-                le = np.add.accumulate(hist.reshape(len(masks), t + 2, q), axis=1)[:, 1 : t + 1]
-                below = le.sum(axis=2)
+                le = np.add.accumulate(hist.reshape(b, r, t + 2, q), axis=2)[:, :, 1 : t + 1]
+                below = le.sum(axis=3)
                 sizes = below if smallest else m - below
                 # a repeated size is the same partition at a larger threshold,
                 # whose key is larger: keep the first only
-                fresh = (sizes >= low) & (sizes <= high)
-                fresh[:, 1:] &= below[:, 1:] != below[:, :-1]
-                rel_at, thr_at = np.nonzero(fresh)
-                c1 = le[rel_at, thr_at]
+                fresh = (sizes >= low) & (sizes <= high) & real
+                fresh[..., 1:] &= below[..., 1:] != below[..., :-1]
+                attr_at, rel_at, thr_at = np.nonzero(fresh)
+                if not attr_at.size:
+                    continue
+                c1 = le[attr_at, rel_at, thr_at]
                 if not smallest:
                     c1 = parent_counts - c1
-                consider(c1, rel_at, thr_at, thresholds, attr, comparator, alpha, z)
+                # rows run in (attribute, relation rank, threshold) order, so
+                # the first minimum is the canonical winner of the sweep
+                si = score(c1)
+                w = int(si.argmin())
+                attr, thresholds = batch[attr_at[w]]
+                rel = masks[rel_at[w]][0]
+                key = (float(si[w]), attr, rel.rank, comparator.rank, thresholds[thr_at[w]], alpha, z)
+                if key[0] >= parent_info or (best_key is not None and key >= best_key):
+                    continue
+                n1 = int(c1[w].sum())
+                best_key = key
+                best_cand = SplitCandidate(
+                    decision=TemporalDecision(
+                        relation=rel,
+                        attribute_index=attr,
+                        derivative_degree=z,
+                        comparator=comparator,
+                        threshold=key[4],
+                        alpha=alpha,
+                    ),
+                    split_info=key[0],
+                    partition_sizes=(n1, m - n1),
+                )
+            # release this batch's tables before the next batch builds its own
+            del tables, table, reached
     return best_cand
 
 

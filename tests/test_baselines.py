@@ -328,10 +328,12 @@ def _batches(draw):
     """r training series and g queries of c channels and n points, two
     univariate series of lengths n and m for the pairwise ``dtw``, and a cap
     on the cells per DTW pass, mostly small enough to split the queries, the
-    training series or both over several passes."""
+    training series or both over several passes.  c runs up to six, the
+    racket twin's width, so the ``dtw-d`` channel sums are checked at that
+    length."""
     r = draw(st.integers(1, 5))
     g = draw(st.integers(1, 7))
-    c = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 6))
     n = draw(st.integers(2, 8))
     m = draw(st.integers(1, 8))
     series = st.lists(_values, min_size=c * n, max_size=c * n)

@@ -487,10 +487,14 @@ def _run_without_warnings(command):
     return code
 
 
-def test_train_splits_values_whose_midpoints_overflow(tmp_path, capsys):
+def _overflowing_midpoints_dataset():
     # 1.6e308 + 1.0e308 overflows, so the midpoint is taken as halves
     instances = [Instance(np.full((1, 4), 1.6e308 if i % 2 else 1.0e308), i % 2) for i in range(10)]
-    data = write_dataset(tmp_path, TemporalDataset(instances, ["var0"], ["a", "b"], 4))
+    return TemporalDataset(instances, ["var0"], ["a", "b"], 4)
+
+
+def test_train_splits_values_whose_midpoints_overflow(tmp_path, capsys):
+    data = write_dataset(tmp_path, _overflowing_midpoints_dataset())
     assert _run_without_warnings(["train", "--data", str(data), "--min-leaf", "1"]) == 0
     out = capsys.readouterr().out
     assert "var0 <= 1.3e+308: a (5.0)" in out and "var0 > 1.3e+308: b (5.0)" in out
@@ -509,18 +513,41 @@ def test_train_refuses_differences_out_of_float64_range_exits_2(tmp_path, capsys
     )
 
 
-def test_compare_refuses_nn_distances_out_of_float64_range_exits_2(tmp_path, capsys):
+def _huge_distances_dataset():
     # finite values near 1e160 whose squared differences overflow
     rng = np.random.default_rng(0)
     instances = [Instance((1.0 + 3.0 * (i % 2)) * 1e160 * rng.uniform(0.9, 1.1, (1, 6)), i % 2)
                  for i in range(10)]
-    data = write_dataset(tmp_path, TemporalDataset(instances, ["var0"], ["a", "b"], 6), "huge.csv")
+    return TemporalDataset(instances, ["var0"], ["a", "b"], 6)
+
+
+def test_compare_refuses_nn_distances_out_of_float64_range_exits_2(tmp_path, capsys):
+    data = write_dataset(tmp_path, _huge_distances_dataset(), "huge.csv")
     for method in ("ed-i", "dtw-i", "dtw-d"):
         assert _run_without_warnings(["compare", "--data", str(data), "--methods", method]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == (
             f"data error: huge: {method}: the {method} distances are out of float64 range\n"
         )
+
+
+def test_bench_refuses_nn_distances_out_of_float64_range_exits_2(tmp_path, capsys):
+    # the data error compare gives, from a folder holding the same file
+    write_dataset(tmp_path, _huge_distances_dataset(), "huge.csv")
+    for method in ("ed-i", "dtw-i", "dtw-d"):
+        assert _run_without_warnings(["bench", "--data-dir", str(tmp_path), "--methods", method]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"data error: huge: {method}: the {method} distances are out of float64 range\n"
+        )
+
+
+def test_bench_trains_tj48_on_values_whose_midpoints_overflow(tmp_path, capsys):
+    write_dataset(tmp_path, _overflowing_midpoints_dataset(), "wide.csv")
+    assert _run_without_warnings(["bench", "--data-dir", str(tmp_path), "--methods", "tj48"]) == 0
+    out, err = capsys.readouterr()
+    # the split at the midpoint 1.3e308 separates the classes
+    assert err == "" and out.splitlines()[1].split() == ["tj48", "_100.00_*"]
 
 
 def test_compare_rows_mirror_method_ladder(tmp_path, capsys):

@@ -357,14 +357,79 @@ def test_best_split_returns_early_when_no_split_can_be_admissible():
 
 
 @st.composite
-def _window_nodes(draw):
-    """1 to 12 series of 2 to 40 points on a coarse or a fine value grid, a
-    derivative degree up to 3 (and below N), a threshold cap up to 300 and
-    1 to 3 alphas, on and off the grid of tenths."""
-    m, n = draw(st.integers(1, 12)), draw(st.integers(2, 40))
+def _batched_nodes(draw):
+    """Two to sixteen instances of 1 to 4 channels over 2 to 14 points, on
+    a pool of 1 to 3 references; each channel on a coarse grid (tied values,
+    few thresholds) or a fine one, so that the attributes of one batch have
+    different threshold counts, or none; degree up to 2, an alpha grid with
+    0.33 and 1.0, and a threshold cap of 3 or 100."""
+    n = draw(st.integers(2, 14))
+    c = draw(st.integers(1, 4))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    pool = draw(st.lists(interval, min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(2, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from((2, 1000)))
-    series = rng.integers(-scale, scale + 1, size=(m, n)) / scale
+    scales = np.array(draw(st.lists(st.sampled_from((1, 2, 1000)), min_size=c, max_size=c)))
+    values = rng.integers(-2 * scales[:, None], 2 * scales[:, None] + 1, size=(m, c, n)) / scales[:, None]
+    instances = [
+        Instance(values[i], draw(st.integers(0, 2)), reference=draw(st.sampled_from(pool)))
+        for i in range(m)
+    ]
+    extra = draw(st.sets(st.sampled_from((0.5, 0.7))))
+    config = LearnerConfig(
+        alpha_grid=tuple(sorted({0.33, 1.0} | extra)),
+        max_derivative=draw(st.integers(0, 2)),
+        relations=tuple(draw(st.sets(st.sampled_from(tuple(Rel)), min_size=1))),
+        comparators=draw(_learner_comparators),
+        min_leaf_size=draw(st.integers(1, 2)),
+        max_threshold_candidates=draw(st.sampled_from((3, 100))),
+    )
+    return instances, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batched_nodes())
+def test_best_split_is_the_same_with_one_attribute_per_batch_property(node):
+    """Searching each degree's attributes side by side (all of them fit the
+    default table budget here) finds the split that one attribute per batch
+    finds: the same decision, score and partition sizes, or None."""
+    instances, config = node
+    batched = best_split(instances, config)
+    with mock.patch.object(induction, "_TABLE_CELLS", 1):
+        assert best_split(instances, config) == batched
+
+
+def test_root_search_on_long_series_stays_within_its_memory_budget():
+    """A root search on 96 Gaussian series of 6 channels and 150 points with
+    the racket-train options (full HS, ``<=`` and ``>``, alphas 0.6 and 0.9,
+    degree 0) stays within an 11 MiB tracemalloc peak (6.6 MiB measured): a
+    batch frees its tables before the next batch builds its own, so one
+    attribute's tables are alive at a time."""
+    rng = np.random.default_rng(5)
+    instances = [Instance(rng.normal(size=(6, 150)), i % 4) for i in range(96)]
+    config = LearnerConfig(alpha_grid=(0.6, 0.9))
+    best_split(instances, config)  # warm the caches
+    tracemalloc.start()
+    try:
+        best_split(instances, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20
+
+
+@st.composite
+def _window_nodes(draw):
+    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 40 points,
+    each attribute on a coarse or a fine value grid, a derivative degree up
+    to 3 (and below N), a threshold cap up to 300 and 1 to 3 alphas, on and
+    off the grid of tenths."""
+    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array(draw(st.lists(st.sampled_from((2, 1000)), min_size=b, max_size=b)))[:, None, None]
+    series = rng.integers(-scale, scale + 1, size=(b, m, n)) / scale
     alphas = draw(st.lists(
         st.sampled_from((0.5, 0.7, 1.0)) | st.floats(0.01, 1.0), min_size=1, max_size=3
     ))
@@ -376,26 +441,37 @@ _SHUFFLED = (np.arange(160) * 37 % 160).reshape(4, 40).astype(np.float64)
 
 @settings(max_examples=100, deadline=None)
 @given(_window_nodes())
-@example((_SHUFFLED, 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
-@example((_SHUFFLED, 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
-@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1), 0, 100, [1.0]))  # j48's static path
+@example((_SHUFFLED[None], 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
+@example((_SHUFFLED[None], 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
+@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], 0, 100, [1.0]))  # j48's static path
+# two attributes with 127 and 4 thresholds, and empty windows at degree 2
+@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), 2, 127, [0.55, 1.0]))
 def test_order_statistic_tables_equal_sorted_windows_property(node):
-    """Each sweep's ``table[at]`` holds, per interval and instance, the
-    k-th smallest (``<=``) or k-th largest (``>``) threshold rank of the
-    interval's data-bearing points, and the never value on an empty one."""
+    """Each sweep's ``table[at]`` holds, per interval and each attribute's
+    instance, the k-th smallest (``<=``) or k-th largest (``>``) threshold
+    rank of the interval's data-bearing points, and on an empty one the
+    never value of the batch, whose attributes stand side by side."""
     series, z, cap, alphas = node
-    m, n = series.shape
-    deriv = np.diff(series, n=z, axis=1)
-    thresholds = candidate_thresholds(deriv.ravel(), cap)
-    if not thresholds:
+    n = series.shape[2]
+    derivs, thresholds = [], []
+    for attribute in series:
+        deriv = np.diff(attribute, n=z, axis=1)
+        found = candidate_thresholds(deriv.ravel(), cap)
+        if found:
+            derivs.append(deriv)
+            thresholds.append(found)
+    if not derivs:
         return
-    t = len(thresholds)
+    m = derivs[0].shape[0]
+    t = max(map(len, thresholds))
     u, v = np.triu_indices(n + 1, k=1)
     lo, hi = point_spans(u, v, n, z)
     sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
-    tables, at = induction._order_statistics(deriv, thresholds, lo, hi - lo + 1, sweeps, n)
-    ranks = (np.array(thresholds) < deriv[:, :, None]).sum(axis=2)
-    want = np.empty((len(sweeps), m, u.size), dtype=np.int64)
+    tables, at = induction._order_statistics(derivs, thresholds, lo, hi - lo + 1, sweeps, n)
+    ranks = np.concatenate(
+        [(np.array(thr) < deriv[:, :, None]).sum(axis=2) for deriv, thr in zip(derivs, thresholds)]
+    )
+    want = np.empty((len(sweeps), len(derivs) * m, u.size), dtype=np.int64)
     for col, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
         window = np.sort(ranks[:, max(x, 1) - 1 : min(y, n - z)], axis=1)
         p = window.shape[1]
