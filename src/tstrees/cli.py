@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -28,9 +28,9 @@ from .core import (
 )
 from .dataio import load_dataset, resample_split, trim
 from .evaluation import (
+    ClassMetrics,
     accuracy,
     class_report,
-    compare_report,
     grid_report,
     metrics_lines,
     percent,
@@ -107,38 +107,21 @@ _COMPARATOR_TOKENS = {
 }
 
 
-def _parse_relations(spec: str) -> tuple[IntervalRelation, ...]:
-    if spec.strip().lower() == "full-hs":
-        return FULL_HS
+def _parse_tokens(spec: str, tokens: dict, kind: str) -> tuple:
+    """The distinct members a comma list names through ``tokens``, in rank
+    order; ``kind`` names them in usage errors."""
     out = []
     for token in spec.split(","):
         token = token.strip().lower()
         if not token:
             continue
-        if token not in _RELATION_TOKENS:
-            raise UsageError(f"unknown relation {token!r}")
-        rel = _RELATION_TOKENS[token]
-        if rel not in out:
-            out.append(rel)
+        if token not in tokens:
+            raise UsageError(f"unknown {kind} {token!r}")
+        if tokens[token] not in out:
+            out.append(tokens[token])
     if not out:
-        raise UsageError("no relations given")
-    return tuple(sorted(out, key=lambda r: r.rank))
-
-
-def _parse_comparators(spec: str) -> tuple[Comparator, ...]:
-    out = []
-    for token in spec.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in _COMPARATOR_TOKENS:
-            raise UsageError(f"unknown comparator {token!r}")
-        cmp = _COMPARATOR_TOKENS[token]
-        if cmp not in out:
-            out.append(cmp)
-    if not out:
-        raise UsageError("no comparators given")
-    return tuple(sorted(out, key=lambda c: c.rank))
+        raise UsageError(f"no {kind}s given")
+    return tuple(sorted(out, key=lambda member: member.rank))
 
 
 def _load(path_text: str, fmt: str, class_column) -> TemporalDataset:
@@ -161,8 +144,11 @@ def _config_from_args(args) -> LearnerConfig:
         return LearnerConfig(
             alpha_grid=_parse_alpha_spec(args.alpha) if args.alpha else (1.0,),
             max_derivative=args.max_z,
-            relations=_parse_relations(args.relations),
-            comparators=_parse_comparators(args.comparators),
+            relations=(
+                FULL_HS if args.relations.strip().lower() == "full-hs"
+                else _parse_tokens(args.relations, _RELATION_TOKENS, "relation")
+            ),
+            comparators=_parse_tokens(args.comparators, _COMPARATOR_TOKENS, "comparator"),
             min_leaf_size=args.min_leaf,
             purity_threshold=args.purity,
         )
@@ -279,19 +265,16 @@ def _cmd_evaluate(args) -> int:
             + "\n"
         )
     out.write("per-class metrics:\n")
-    header = ["tp_rate", "fp_rate", "precision", "recall", "f_measure", "mcc", "roc_area", "prc_area"]
-    out.write("  ".join(h.rjust(9) for h in header) + "  class\n")
-    for c, name in enumerate(dataset.class_names):
-        row = report[c]
-        vals = [row.tp_rate, row.fp_rate, row.precision, row.recall, row.f_measure, row.mcc, row.roc_area, row.prc_area]
-        out.write("  ".join(f"{v:9.3f}" for v in vals) + f"  {name}\n")
+    metrics = [f.name for f in fields(ClassMetrics)]
+    out.write("  ".join(metric.rjust(9) for metric in metrics) + "  class\n")
+    for row, name in zip(report, dataset.class_names):
+        out.write("  ".join(f"{getattr(row, metric):9.3f}" for metric in metrics) + f"  {name}\n")
 
     if args.report:
         label = Path(args.data).stem
         records = [(label, "model", "accuracy", acc)]
-        for c, name in enumerate(dataset.class_names):
-            row = report[c]
-            for metric in header:
+        for row, name in zip(report, dataset.class_names):
+            for metric in metrics:
                 records.append((label, "model", f"{metric}[{name}]", getattr(row, metric)))
         Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
     return 0
@@ -362,11 +345,14 @@ def _race_plan(args) -> list[tuple[str, _Runner]]:
     return [(method, _parse_method(method)) for method in methods]
 
 
-def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
+def _race(datasets, plan, args) -> int:
     """Run every planned method on a resampled split of each (name, dataset)
-    pair, in order; one (name, method, "accuracy", value) record per run."""
-    records = []
+    pair, in order; print the accuracy grid, one column per dataset, and
+    write one (name, method, "accuracy", value) record per run to
+    ``--report``."""
+    names, records = [], []
     for name, dataset in datasets:
+        names.append(name)
         trimmed = trim(dataset, args.max_len) if args.max_len else dataset
         if trimmed.size < 2:
             raise DataFormatError(
@@ -385,18 +371,17 @@ def _race(datasets, plan, args) -> list[tuple[str, str, str, float]]:
             except DataFormatError as exc:  # a feature out of float64 range
                 raise DataFormatError(f"{name}: {method}: {exc}") from None
             records.append((name, method, "accuracy", score))
-    return records
+    cells = {(method, name): acc for name, method, _, acc in records}
+    sys.stdout.write(grid_report([method for method, _ in plan], names, cells))
+    if args.report:
+        Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
+    return 0
 
 
 def _cmd_compare(args) -> int:
     plan = _race_plan(args)
-    label = Path(args.data).stem
     dataset = _load(args.data, args.format, args.class_column)
-    records = _race([(label, dataset)], plan, args)
-    sys.stdout.write(compare_report([(m, a) for _, m, _, a in records], title=label))
-    if args.report:
-        Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
-    return 0
+    return _race([(Path(args.data).stem, dataset)], plan, args)
 
 
 def _discover_datasets(data_dir: Path) -> list[tuple[str, list[Path]]]:
@@ -450,13 +435,7 @@ def _cmd_bench(args) -> int:
     loaded = (
         (name, _load_merged(paths, args.format, args.class_column)) for name, paths in datasets
     )
-    records = _race(loaded, plan, args)
-    cells = {(method, name): acc for name, method, _, acc in records}
-    methods = [method for method, _ in plan]
-    sys.stdout.write(grid_report(methods, [name for name, _ in datasets], cells))
-    if args.report:
-        Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
-    return 0
+    return _race(loaded, plan, args)
 
 
 def _add_data_options(sub, flag="--data", help="path to the data file"):
@@ -539,16 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

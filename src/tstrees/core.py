@@ -110,10 +110,6 @@ class Interval:
         if not (0 <= self.x < self.y):
             raise ValueError(f"invalid interval [{self.x},{self.y}]: need 0 <= x < y")
 
-    @property
-    def length(self) -> int:
-        return self.y - self.x
-
 
 ROOT_REFERENCE = Interval(0, 1)
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import ConfusionMatrix
@@ -40,57 +42,52 @@ def _safe_div(num: float, den: float) -> float:
     return num / den if den != 0 else 0.0
 
 
+def _tie_runs(labels: Sequence[bool], scores: Sequence[float]) -> list[tuple[int, int]]:
+    """(positives, negatives) of each run of tied scores, in ascending score
+    order."""
+    runs = []
+    for _, run in groupby(sorted(zip(scores, labels), key=itemgetter(0)), key=itemgetter(0)):
+        flags = [bool(label) for _, label in run]
+        runs.append((sum(flags), len(flags) - sum(flags)))
+    return runs
+
+
 def roc_area(labels: Sequence[bool], scores: Sequence[float]) -> float:
     """Rank-based ROC area with mid-rank handling of ties.
 
     Degenerate inputs (no positives or no negatives) score 0.5, the
     uninformative default.
     """
-    n_pos = sum(1 for v in labels if v)
+    runs = _tie_runs(labels, scores)
+    n_pos = sum(pos for pos, _ in runs)
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0  # 1-based mid rank of the tie block
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    rank_sum = sum(r for r, lab in zip(ranks, labels) if lab)
+    rank_sum = 0.0  # a sum of half-integers, so exact
+    below = 0
+    for pos, neg in runs:
+        rank_sum += pos * (below + (pos + neg + 1) / 2.0)  # 1-based mid rank of the run
+        below += pos + neg
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def prc_area(labels: Sequence[bool], scores: Sequence[float]) -> float:
     """Precision-recall area by step interpolation over unique score
     thresholds, descending."""
-    n_pos = sum(1 for v in labels if v)
+    runs = _tie_runs(labels, scores)
+    n_pos = sum(pos for pos, _ in runs)
     if n_pos == 0:
         return 0.0
-    pairs = sorted(zip(scores, labels), key=lambda p: -p[0])
     area = 0.0
     tp = 0
     fp = 0
     prev_recall = 0.0
-    i = 0
-    while i < len(pairs):
-        j = i
-        while j + 1 < len(pairs) and pairs[j + 1][0] == pairs[i][0]:
-            j += 1
-        for k in range(i, j + 1):
-            if pairs[k][1]:
-                tp += 1
-            else:
-                fp += 1
+    for pos, neg in reversed(runs):
+        tp += pos
+        fp += neg
         recall = tp / n_pos
-        precision = _safe_div(tp, tp + fp)
-        area += (recall - prev_recall) * precision
+        area += (recall - prev_recall) * (tp / (tp + fp))
         prev_recall = recall
-        i = j + 1
     return area
 
 

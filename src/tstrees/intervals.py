@@ -133,8 +133,9 @@ def derivative(channel: Sequence[float] | np.ndarray, z: int) -> np.ndarray:
         raise ValueError(
             f"derivative degree {z} invalid for a series of length {values.shape[0]}"
         )
-    for _ in range(z):
-        values = np.diff(values)
+    with np.errstate(over="ignore"):  # an overflow reads as +-inf, as routing reads it
+        for _ in range(z):
+            values = np.diff(values)
     return values
 
 

@@ -4,9 +4,10 @@ The layout is the indented two-branch style: the satisfying branch prints the
 modality in angle brackets (``<L>``, ``<InvA>``, ``<=>`` for eq), the
 non-satisfying branch prints it in square brackets with the comparator
 flipped (``[L]``, ``[InvA]``, ``[=]``).  Leaves append the class name and the
-instance count, with the error count after a slash when non-zero.  Alpha and
-derivative-degree annotations appear only when they differ from the defaults
-of the run, which keeps fixed-alpha, degree-0 runs free of clutter.
+instance count, with the error count after a slash when non-zero.  The alpha
+annotation appears only when it differs from the run's default alpha, and the
+derivative-degree annotation only when the degree is not 0, which keeps
+fixed-alpha, degree-0 runs free of clutter.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ def format_value(value: float) -> str:
     return repr(float(value))
 
 
-def _annotations(decision: TemporalDecision, default_alpha: float, default_z: int) -> str:
+def _annotations(decision: TemporalDecision, default_alpha: float) -> str:
     parts = []
     if decision.alpha != default_alpha:
         parts.append(f"@alpha={format_value(decision.alpha)}")
-    if decision.derivative_degree != default_z:
+    if decision.derivative_degree != 0:
         parts.append(f"@z={decision.derivative_degree}")
     if decision.eq_tolerance != 0.0:
         parts.append(f"@tol={format_value(decision.eq_tolerance)}")
@@ -52,7 +53,6 @@ def decision_condition(
     attribute_names: Sequence[str],
     satisfied: bool,
     default_alpha: float = 1.0,
-    default_z: int = 0,
 ) -> str:
     """The ``attr cmp value`` part of a branch label, comparator flipped on
     the non-satisfying side."""
@@ -60,7 +60,7 @@ def decision_condition(
     cmp_text = decision.comparator.value if satisfied else _FLIPPED[decision.comparator]
     return (
         f"{attr} {cmp_text} {format_value(decision.threshold)}"
-        f"{_annotations(decision, default_alpha, default_z)}"
+        f"{_annotations(decision, default_alpha)}"
     )
 
 
@@ -76,7 +76,6 @@ def render_tree(
     attribute_names: Sequence[str],
     class_names: Sequence[str],
     default_alpha: float = 1.0,
-    default_z: int = 0,
 ) -> str:
     """Render a tree in the indented two-branch text layout."""
     lines: list[str] = []
@@ -84,7 +83,7 @@ def render_tree(
     def branch_line(node: Node, depth: int, satisfied: bool, child: DecisionTree) -> None:
         prefix = "|   " * depth
         label = relation_token(node.decision.relation, satisfied) + " " + decision_condition(
-            node.decision, attribute_names, satisfied, default_alpha, default_z
+            node.decision, attribute_names, satisfied, default_alpha
         )
         if isinstance(child, Leaf):
             lines.append(prefix + label + _leaf_suffix(child, class_names))
@@ -108,11 +107,8 @@ def _theory_term(
     attribute_names: Sequence[str],
     satisfied: bool,
     default_alpha: float,
-    default_z: int,
 ) -> str:
-    body = "(" + decision_condition(
-        decision, attribute_names, satisfied, default_alpha, default_z
-    ) + ")"
+    body = "(" + decision_condition(decision, attribute_names, satisfied, default_alpha) + ")"
     if decision.relation is IntervalRelation.EQ:
         return body
     return relation_token(decision.relation, satisfied) + body
@@ -123,7 +119,6 @@ def extract_class_theory(
     class_index: int,
     attribute_names: Sequence[str],
     default_alpha: float = 1.0,
-    default_z: int = 0,
 ) -> list[str]:
     """One conjunctive formula per root-to-leaf path ending in the class.
 
@@ -140,16 +135,9 @@ def extract_class_theory(
             if node.class_index == class_index:
                 formulas.append(" & ".join(terms) if terms else "true")
             return
-        walk(
-            node.left,
-            terms
-            + [_theory_term(node.decision, attribute_names, True, default_alpha, default_z)],
-        )
-        walk(
-            node.right,
-            terms
-            + [_theory_term(node.decision, attribute_names, False, default_alpha, default_z)],
-        )
+        for child, satisfied in ((node.left, True), (node.right, False)):
+            term = _theory_term(node.decision, attribute_names, satisfied, default_alpha)
+            walk(child, terms + [term])
 
     walk(tree, [])
     return formulas

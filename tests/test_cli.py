@@ -325,6 +325,19 @@ def test_usage_error_exits_1(tmp_path, capsys):
         assert main(["train", "--data", data, *option]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and reason in err
+    # relation and comparator lists: unknown and empty entries, and '='
+    with pytest.raises(ValueError) as refused:
+        LearnerConfig(comparators=(Comparator.EQ,))
+    for option, reason in (
+        (["--relations", "foo"], "unknown relation 'foo'"),
+        (["--comparators", "foo"], "unknown comparator 'foo'"),
+        (["--relations", ","], "no relations given"),
+        (["--comparators", ","], "no comparators given"),
+        (["--comparators", "="], str(refused.value)),
+    ):
+        assert main(["train", "--data", data, *option]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"usage error: {reason}\n", option
     # options are checked before the data is read
     assert main(["train", "--data", "/nonexistent.csv", "--comparators", "="]) == 1
     assert "never holds on the training data" in capsys.readouterr().err
@@ -592,6 +605,32 @@ def test_bench_grid(tmp_path, capsys):
     assert "alpha" in head and "beta" in head
     lines = report.read_text().splitlines()
     assert len(lines) == 4  # 2 datasets x 2 methods
+
+
+def test_compare_and_bench_agree_on_a_folder_of_one_dataset(tmp_path, capsys):
+    # bench over a folder holding only x.ts is compare on x.ts: same grid,
+    # same report
+    rng = np.random.default_rng(5)
+    rows = [(9.0 * (i % 3) + rng.normal(0, 4, (2, 6)), "abc"[i % 3]) for i in range(18)]
+    data = tmp_path / "x.ts"
+    data.write_text(
+        "".join(":".join(",".join(map(repr, ch.tolist())) for ch in values) + f":{label}\n"
+                for values, label in rows),
+        encoding="utf-8",
+    )
+    methods = ["--seed", "4", "--methods", "j48:1100,ed-i,dtw-i,dtw-d,tj48:0.6,tj48:0.9"]
+    printed = []
+    for command, report in (
+        (["compare", "--data", str(data)], tmp_path / "compare.tsv"),
+        (["bench", "--data-dir", str(tmp_path)], tmp_path / "bench.tsv"),
+    ):
+        assert main([*command, *methods, "--report", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        printed.append((out, report.read_text(encoding="utf-8")))
+    assert printed[0] == printed[1]
+    assert printed[0][0].splitlines()[0].split() == ["method", "x"]
+    assert len(printed[0][1].splitlines()) == 6
 
 
 def test_predict_and_evaluate_refuse_lower_degree_differences_out_of_float64_range_exits_2(

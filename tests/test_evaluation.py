@@ -108,6 +108,29 @@ def test_roc_invariant_under_monotone_transform(rng):
     assert roc_area(labels, transformed) == pytest.approx(base, abs=1e-12)
 
 
+def test_roc_and_prc_areas_equal_pairwise_and_per_threshold_sums_on_tied_scores(rng):
+    """ROC area is the share of (positive, negative) pairs ranked right, a tie
+    counting one half; PRC area steps through each distinct score, highest
+    first.  Scores drawn from few values make long tied runs."""
+    for size in range(1, 40):
+        labels = [bool(v) for v in rng.integers(0, 2, size=size)]
+        scores = [float(v) for v in rng.integers(0, 4, size=size) / 4]
+        pos = [s for s, lab in zip(scores, labels) if lab]
+        neg = [s for s, lab in zip(scores, labels) if not lab]
+        if pos and neg:
+            right = sum((p > n) + (p == n) / 2 for p in pos for n in neg)
+            assert roc_area(labels, scores) == right / (len(pos) * len(neg))
+        else:
+            assert roc_area(labels, scores) == 0.5
+        area, prev_recall = 0.0, 0.0
+        for t in sorted(set(scores), reverse=True):
+            tp = sum(s >= t for s in pos)
+            recall = tp / len(pos) if pos else 0.0
+            area += (recall - prev_recall) * (tp / sum(s >= t for s in scores))
+            prev_recall = recall
+        assert prc_area(labels, scores) == (area if pos else 0.0)
+
+
 def test_prc_area_perfect_and_empty():
     assert prc_area([True, True, False], [0.9, 0.8, 0.1]) == 1.0
     assert prc_area([False, False], [0.5, 0.5]) == 0.0

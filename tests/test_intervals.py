@@ -104,6 +104,12 @@ def test_derivative_examples():
         derivative([1.0, 2.0], -1)
 
 
+def test_derivative_of_finite_values_past_float64_range_reads_inf_without_a_warning():
+    # the suite turns warnings into errors, so an escaped overflow warning fails here
+    assert derivative([-1.79e308, 1.79e308], 1).tolist() == [np.inf]
+    assert derivative([1.79e308, -1.79e308], 1).tolist() == [-np.inf]
+
+
 def test_required_count_exact_ceiling():
     assert required_count(1.0, 5) == 5
     assert required_count(0.5, 5) == 3

@@ -63,8 +63,8 @@ def test_render_error_counts():
 
 def test_render_annotations_only_when_non_default():
     tree = _node(Rel.O, 0, Comparator.LE, 1.5, Leaf(0, (2, 0)), Leaf(1, (0, 2)), alpha=0.6, z=1)
-    plain = render_tree(tree, ["v"], ["X", "Y"], default_alpha=0.6, default_z=1)
-    assert "@" not in plain
+    plain = render_tree(tree, ["v"], ["X", "Y"], default_alpha=0.6)
+    assert "@alpha" not in plain and "@z=1" in plain
     annotated = render_tree(tree, ["v"], ["X", "Y"])
     assert "@alpha=0.6" in annotated and "@z=1" in annotated
 
@@ -106,7 +106,7 @@ _CMP = {"<=": Comparator.LE, ">": Comparator.GT, "=": Comparator.EQ}
 _UNFLIP = {">": Comparator.LE, "<=": Comparator.GT, "!=": Comparator.EQ}
 
 
-def parse_rendered_tree(text: str, class_names, default_alpha=1.0, default_z=0):
+def parse_rendered_tree(text: str, class_names, default_alpha=1.0):
     lines = text.splitlines()
 
     def parse_line(idx):
@@ -117,7 +117,7 @@ def parse_rendered_tree(text: str, class_names, default_alpha=1.0, default_z=0):
         satisfied = sat_token is not None
         rel = _TOKEN_TO_REL[sat_token if satisfied else unsat_token]
         attr_name, cmp_text, value = m.group(4), m.group(5), m.group(6)
-        alpha, z, tol = default_alpha, default_z, 0.0
+        alpha, z, tol = default_alpha, 0, 0.0
         for ann in (m.group(7) or "").split():
             key, _, val = ann.lstrip("@").partition("=")
             if key == "alpha":
