@@ -8,6 +8,7 @@ never mutated in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence, Union
@@ -391,3 +392,7 @@ class LearnerConfig:
             raise ValueError("max_derivative must be >= 0")
         if self.max_threshold_candidates < 1:
             raise ValueError("max_threshold_candidates must be >= 1")
+        # NaN would make every node a split candidate and Infinity every node
+        # a leaf; neither is a number a model file may carry as JSON
+        if not math.isfinite(self.purity_threshold):
+            raise ValueError("purity_threshold must be a finite number")

@@ -213,6 +213,29 @@ def test_predict_refuses_a_model_whose_config_lists_eq_exits_2(tmp_path, capsys)
     assert out == "" and err.startswith("data error: ") and "malformed config" in err
 
 
+def test_non_finite_purity_is_a_usage_error_and_a_malformed_model(tmp_path, capsys):
+    """``--purity nan`` or ``inf`` exits 1 before anything is written; a model
+    file that carries such a threshold fails to load as a malformed config
+    (exit 2), since ``NaN`` and ``Infinity`` are no JSON numbers."""
+    ds = separable_dataset()
+    data = write_dataset(tmp_path, ds)
+    model_path = tmp_path / "model.json"
+    for value in ("nan", "inf", "-inf"):
+        assert main(["train", "--data", str(data), f"--purity={value}", "--out", str(model_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: purity_threshold must be a finite number\n"
+    assert not model_path.exists()
+    assert main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    for value in (float("nan"), float("inf")):
+        payload["config"]["purity_threshold"] = value
+        model_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("data error: ") and "malformed config" in err
+
+
 def test_model_with_eq_decisions_round_trips_and_predicts(tmp_path, capsys):
     """Decisions may still use ``=`` with a tolerance: such a model saves
     back byte-identically, and ``predict`` routes as :func:`classify` does.

@@ -141,6 +141,15 @@ def test_learner_config_validation():
         LearnerConfig(min_leaf_size=0)
 
 
+def test_learner_config_refuses_a_non_finite_purity_threshold():
+    """NaN and the infinities are refused; any finite threshold, negative
+    included, is kept."""
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="purity_threshold must be a finite number"):
+            LearnerConfig(purity_threshold=value)
+    assert LearnerConfig(purity_threshold=-0.5).purity_threshold == -0.5
+
+
 def test_learner_config_refuses_the_eq_comparator():
     """The learner searches ``<=`` and ``>`` only: its thresholds lie between
     observed values, where ``=`` never holds."""

@@ -36,7 +36,7 @@ from tstrees.induction import (
     info_split,
     static_series_dataset,
 )
-from tstrees.intervals import point_spans, required_counts
+from tstrees.intervals import point_spans, relation_rectangle, required_counts
 
 import oracles
 from conftest import random_dataset
@@ -345,7 +345,7 @@ def test_best_split_returns_early_when_no_split_can_be_admissible():
     rows = [rng.normal(size=(1, 6)) for _ in range(6)]
     root = [Instance(row, i % 2) for i, row in enumerate(rows)]
     at_end = [Instance(row, i % 2, reference=Interval(2, 6)) for i, row in enumerate(rows)]
-    spy = mock.patch.object(induction, "_order_statistics", wraps=induction._order_statistics)
+    spy = mock.patch.object(induction, "_sorted_windows", wraps=induction._sorted_windows)
     with spy as order_statistics:
         assert best_split(root[:5], LearnerConfig(min_leaf_size=3)) is None
         assert best_split(at_end, LearnerConfig(relations=(Rel.A, Rel.L))) is None
@@ -402,22 +402,24 @@ def test_best_split_is_the_same_with_one_attribute_per_batch_property(node):
 
 
 def test_root_search_on_long_series_stays_within_its_memory_budget():
-    """A root search on 96 Gaussian series of 6 channels and 150 points with
-    the racket-train options (full HS, ``<=`` and ``>``, alphas 0.6 and 0.9,
-    degree 0) stays within an 11 MiB tracemalloc peak (6.6 MiB measured): a
-    batch frees its tables before the next batch builds its own, so one
-    attribute's tables are alive at a time."""
+    """A root search on 96 Gaussian series of 6 channels with the
+    racket-train options (full HS, ``<=`` and ``>``, alphas 0.6 and 0.9,
+    degree 0) stays within an 11 MiB tracemalloc peak at 150 points and a
+    12 MiB one at 300 points (1.7 and 5.6 MiB measured; 6.6 and 24.8 MiB
+    with a table per sweep): a node on one reference keeps only its growing
+    windows, and a batch frees them before the next batch grows its own."""
     rng = np.random.default_rng(5)
-    instances = [Instance(rng.normal(size=(6, 150)), i % 4) for i in range(96)]
     config = LearnerConfig(alpha_grid=(0.6, 0.9))
-    best_split(instances, config)  # warm the caches
-    tracemalloc.start()
-    try:
-        best_split(instances, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 11 * 2**20
+    for points, budget in ((150, 11 * 2**20), (300, 12 * 2**20)):
+        instances = [Instance(rng.normal(size=(6, points)), i % 4) for i in range(96)]
+        best_split(instances, config)  # warm the caches
+        tracemalloc.start()
+        try:
+            best_split(instances, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, points
 
 
 @st.composite
@@ -485,6 +487,69 @@ def test_order_statistic_tables_equal_sorted_windows_property(node):
     for table, rows in zip(tables, want):
         assert table.dtype == np.min_scalar_type(-t - 1)
         assert (table[at].T == rows).all()
+
+
+@st.composite
+def _shared_reference_nodes(draw):
+    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 40 points, all
+    on one reference anywhere in the series, at a degree up to 3 (and below
+    N): each attribute on a coarse grid (tied values) or a fine one (up to
+    300 thresholds, so int16 ranks), with alphas 0.33 and 1.0 and maybe
+    0.5 or 0.7."""
+    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 40))
+    x = draw(st.integers(0, n - 1))
+    reference = Interval(x, draw(st.integers(x + 1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array(draw(st.lists(st.sampled_from((2, 1000)), min_size=b, max_size=b)))[:, None, None]
+    series = rng.integers(-scale, scale + 1, size=(b, m, n)) / scale
+    alphas = sorted({0.33, 1.0} | draw(st.sets(st.sampled_from((0.5, 0.7)))))
+    return series, reference, draw(st.integers(0, min(3, n - 1))), alphas
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_reference_nodes())
+@example((_SHUFFLED[None], Interval(3, 17), 1, [0.33, 1.0]))  # 155 thresholds: int16
+# from [N - 1, N] at degree 3, the one-point windows of Li start at points 1 and N - 3
+@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), Interval(39, 40), 3, [0.33, 1.0]))
+@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], Interval(0, 1), 0, [0.33, 1.0]))
+def test_streamed_critical_ranks_equal_the_table_reduction_property(node):
+    """On a node whose instances share one reference, the critical ranks
+    folded in while the windows grow equal, for every relation that reaches
+    some interval and every (comparator, alpha), the reduction of
+    :func:`induction._order_statistics`' table under the relation's mask,
+    taken by :func:`induction._critical_ranks`."""
+    series, reference, z, alphas = node
+    n = series.shape[2]
+    derivs, thresholds = [], []
+    for attribute in series:
+        deriv = np.diff(attribute, n=z, axis=1)
+        found = candidate_thresholds(deriv.ravel(), 300)
+        if found:
+            derivs.append(deriv)
+            thresholds.append(found)
+    if not derivs:
+        return
+    m, t = derivs[0].shape[0], max(map(len, thresholds))
+    u, v = np.triu_indices(n + 1, k=1)
+    lo, hi = point_spans(u, v, n, z)
+    length = np.maximum(hi - lo + 1, 0)
+    reaches = []
+    for rel in sorted(Rel, key=lambda r: r.rank):
+        r1, r2, c1, c2 = relation_rectangle(rel, reference.x, reference.y, n)
+        reach = np.flatnonzero((r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2))
+        if reach.size:
+            reaches.append(reach)
+    sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
+    runs = induction._window_runs(reaches, lo, hi, n - z)
+    ranks = induction._ranks(derivs, thresholds)
+    streamed = induction._streamed_critical_ranks(ranks, t, runs, len(reaches), sweeps, n)
+    tables, at = induction._order_statistics(derivs, thresholds, lo, length, sweeps, n)
+    for (comparator, _), table, got in zip(sweeps, tables, streamed):
+        # every instance reaches every interval of the relation: nothing is bounded
+        reached = [(at[reach], (np.zeros((reach.size, 1, m), table.dtype), t)) for reach in reaches]
+        want = induction._critical_ranks(table, reached, comparator is Comparator.LE, len(derivs))
+        assert got.dtype == table.dtype == np.min_scalar_type(-t - 1)
+        assert np.array_equal(got, want)
 
 
 @st.composite
