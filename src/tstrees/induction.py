@@ -5,13 +5,6 @@ degree 0 on constant two-point series); the general case searches the full
 grid attributes x relations x comparators x alphas x derivative degrees x
 thresholds and keeps the candidate of minimal weighted child entropy.
 
-Candidate evaluation is vectorized per node.  Once per node and distinct
-reference, each relation's successor rectangle
-(:func:`tstrees.intervals.relation_rectangle`) becomes a mask over the
-intervals.  Intervals that succeed no reference are dropped, and the rest
-of the mask is gathered out to the instances as (intervals x instances), or
-left out when all instances stand on one reference.
-
 The learner searches the comparators ``<=`` and ``>`` only (``=`` is refused
 by :class:`tstrees.core.LearnerConfig`).  Both are monotone in the
 threshold, so they are searched by a sweep over sorted values, as C4.5
@@ -26,31 +19,29 @@ the sorted windows of p + 1 points grow from those of p points by inserting
 one point, start-major so that each step is one contiguous run per position
 (:func:`_sorted_windows`).  Per (comparator, alpha, relation), each
 (attribute, instance) then needs its critical value: the min (for ``<=``)
-or max (for ``>``) of the order statistics of its reached intervals.  When
-all instances stand on one reference (the root, every node down an
-unsatisfied branch, every j48 node), a relation's p-point windows start at
-one run of consecutive points (:func:`_window_runs`), so a plain min (or
-max) over that run of the p-point order-statistic row is folded in while
-the windows of that size are held, and no table is built
-(:func:`_streamed_critical_ranks`).  On
-other nodes, per (comparator, alpha) the order statistics of every window
-go into one packed (windows x columns) table (:func:`_order_statistics`),
-and a min (or max) down the table rows of the reached intervals gives the
-critical values, once the entries off each instance's mask are bounded to
-the never value.  Per (comparator, alpha), cumulative class counts over the
-critical values give the partition at every (attribute, relation,
-threshold) of the batch at once.  Only the first threshold of each distinct
-partition is scored.
+or max (for ``>``) of the order statistics of its successors' windows.
+
+One streamed path serves every node (:func:`_streamed_critical_ranks`).
+Once per node, each relation's successor rectangle
+(:func:`tstrees.intervals.relation_rectangle`) is taken at every distinct
+reference, and a relation without successors is dropped.  The p-point
+windows of a rectangle's successors start at one run of points, in closed
+form (:func:`_window_runs`), so the critical values are folded in while the
+windows of each size are held, and no table of every window is built.  On
+one reference (the root, every node down an unsatisfied branch, every j48
+node), a relation's fold is a min (or max) over a basic slice of the
+order-statistic row.  On several (below a satisfied modal edge), a sparse
+table of that row gives every (relation, instance) run as the fold of two
+entries (:func:`_window_reads`).  Per (comparator, alpha), cumulative class
+counts over the critical values give the partition at every (attribute,
+relation, threshold) of the batch at once.  Only the first threshold of
+each distinct partition is scored.
 
 On 96 x 6 Gaussian series with the racket-train config (2-vCPU VM), a root
-search at N = 150 took 2.1 s with a 17.9 MiB tracemalloc peak when it sorted
-every window, 0.10 s with 10.8 MiB with start-major tables, and 6.6 MiB
-with one attribute's tables at a time.  Without tables, and with the last
-degree's floats dropped once ranked, it peaks at 1.7 MiB, and at 5.6 and
-22 MiB at N = 300 and 600 (24.8 and 96 MiB with tables), in no more time.
-The racket-train root search (96 x 6 x 30) now takes all six attributes in
-one batch: 7.2-7.4 ms and 501 KiB with one attribute's tables per batch,
-against 4.0-4.1 ms and 387 KiB (best of 150 calls, four processes each).
+search peaks at 1.3, 4.5 and 17 MiB of tracemalloc at N = 150, 300 and 600.
+Spread over 20 distinct references it peaks at 3.1, 6.2 and 20 MiB and
+takes 0.18 and 0.80 s at N = 150 and 300, where a table of every window per
+sweep took 23, 87 and 333 MiB and 0.39 and 2.0 s.
 
 Candidates are scored together.  Each (batch, degree, comparator, alpha)
 yields one array of satisfying-side class counts, scored in one array pass
@@ -87,7 +78,6 @@ from .core import (
     leaf_for_counts,
 )
 from .intervals import (
-    point_spans,
     relation_rectangle,
     required_counts,
     split_dataset,
@@ -159,17 +149,14 @@ class SplitCandidate:
 
 
 #: Cells (one byte each while there are at most 127 thresholds) that one
-#: batch of :func:`best_split` may hold in its largest array.  Per degree,
-#: the attributes with thresholds are searched in batches, side by side on
-#: the instance axis, as many as fit (at least one), as
-#: :data:`tstrees.baselines._PASS_CELLS` caps a DTW pass.  When all instances
-#: share one reference, an attribute counts its largest sorted window,
-#: floor((N_z + 1)^2 / 4) x m cells (the windows grow in two buffers of that
-#: size); otherwise it counts its sweep tables, sweeps x (1 + N_z(N_z + 1) /
-#: 2) rows x m.  The racket-train root (96 instances, 30 points, 23,040 cells
-#: per attribute) puts all six attributes in one batch, and j48's 12 static
-#: features (two points) go in one.
-_TABLE_CELLS = 2**18
+#: batch of :func:`best_split` may hold.  Per degree, the attributes with
+#: thresholds are searched in batches, side by side on the instance axis, as
+#: many as fit (at least one), as :data:`tstrees.baselines._PASS_CELLS` caps a
+#: DTW pass.  Per instance, an attribute counts its two window buffers of
+#: floor((N_z + 1)^2 / 4) cells and its largest sparse table, N_z (floor(log2
+#: N_z) + 1) cells.  The racket-train root (96 instances, 30 points, 60,480
+#: cells per attribute) and j48's 12 static features each fit one batch.
+_TABLE_CELLS = 2**19
 
 
 def _ranks(derivs: Sequence[np.ndarray], thresholds: Sequence[Sequence[float]]) -> np.ndarray:
@@ -217,132 +204,149 @@ def _sorted_windows(ranks: np.ndarray):
         yield size, window
 
 
-def _order_statistics(
-    derivs: Sequence[np.ndarray],
-    thresholds: Sequence[Sequence[float]],
-    lo: np.ndarray,
-    length: np.ndarray,
-    sweeps: list[tuple[Comparator, float]],
-    n: int,
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """For the :func:`_sorted_windows` of one batch's :func:`_ranks` and each
-    (comparator, alpha) of ``sweeps``, a packed table of the threshold ranks
-    that decide each instance's windows, with attribute a in columns a * m ..
-    a * m + m - 1; and the rows ``at`` such that ``table[at]`` is the (K, B *
-    m) array for the intervals: interval k covers the data-bearing points
-    ``lo[k] .. lo[k] + length[k] - 1``.
-
-    An interval of p points satisfies ``A <= t_j`` at alpha iff its k-th
-    smallest rank is <= j, and ``A > t_j`` iff its k-th largest rank is > j,
-    with k = ``required_counts(alpha, n)[p]``.  Table row ``offset[p] + i``
-    holds the p-point windows from point i + 1; row 0 is the empty window,
-    which never holds: it reads t (resp. -1), t being the batch's largest
-    threshold count, above every threshold index of every attribute.
-    """
-    m, points = derivs[0].shape
-    t = max(map(len, thresholds))
-    # np.add.accumulate, not np.cumsum, for the reason given in best_split
-    offset = np.concatenate(([0, 1], 1 + np.add.accumulate(np.arange(points, 0, -1))))
-    tables = [
-        np.full((offset[-1], len(derivs) * m), t if comparator is Comparator.LE else -1,
-                dtype=np.min_scalar_type(-t - 1))
-        for comparator, _ in sweeps
-    ]
-    for size, window in _sorted_windows(_ranks(derivs, thresholds)):
-        for (comparator, alpha), table in zip(sweeps, tables):
-            k = required_counts(alpha, n)[size]
-            j = k - 1 if comparator is Comparator.LE else size - k
-            table[offset[size] : offset[size + 1]] = window[j]
-    return tables, np.where(length > 0, offset[length] + lo - 1, 0)
+def _successor_boxes(relations: Sequence[IntervalRelation], x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """The (4, R, D) :func:`relation_rectangle` bounds (r1, r2, c1, c2) of
+    the successors of the D references [x, y] under each of R ``relations``.
+    A reference has successors iff r1 <= r2 and c1 <= c2, and then the
+    rectangle lies in the grid with r1 < c1 and r2 < c2, so that every start
+    u and every end v in it belongs to a successor [u, v], u < v."""
+    box = np.empty((4, len(relations), x.size), dtype=np.intp)
+    for r, rel in enumerate(relations):
+        for bound, value in zip(box[:, r], relation_rectangle(rel, x, y, n)):
+            bound[...] = value
+    return box
 
 
-def _critical_ranks(table: np.ndarray, reached: list, smallest: bool, b: int) -> np.ndarray:
-    """The (R, B * m) critical ranks of one sweep's ``table`` for a batch of
-    B attributes: entry [r, a * m + i] is instance i's critical rank for
-    attribute a under the r-th mask of ``reached``, the min (for ``<=``,
-    ``smallest``) or max (for ``>``) down the mask's rows, bounded to the
-    never value off the instance's mask.  Instance i satisfies the modality
-    at its attribute's thresholds[j] iff its critical rank is <= j (resp.
-    > j)."""
-    m = table.shape[1] // b
-    reduce = np.minimum.reduce if smallest else np.maximum.reduce
-    bound, side = (np.maximum, 0) if smallest else (np.minimum, 1)
-    crit = np.empty((len(reached), table.shape[1]), dtype=table.dtype)
-    for k, (rows, bounds) in enumerate(reached):
-        stat = table[rows].reshape(len(rows), b, m)
-        bound(stat, bounds[side], out=stat)
-        reduce(stat, axis=0, out=crit[k].reshape(b, m))
-    return crit
+def _window_runs(box: np.ndarray, points: int, size) -> tuple[np.ndarray, np.ndarray]:
+    """The starts of the ``size``-point windows of successors, in closed
+    form: for the (4, R, D) :func:`_successor_boxes` of R relations and D
+    references at degree z (``points`` = N_z = n - z data-bearing points),
+    the (R, D) arrays (first, stop) such that ``window[j, first:stop]`` of
+    :func:`_sorted_windows` are the windows of the successors, empty when
+    first >= stop.  ``size`` may be an array that broadcasts against them.
+
+    An interval [u, v] covers the points max(u, 1) .. min(v, N_z)
+    (:func:`point_spans`), both ends monotone, so over a rectangle the
+    windows start at max(r1, 1) .. max(r2, 1) and end at min(c1, N_z) ..
+    min(c2, N_z), any start with any end.  A window of p >= 2 points that
+    starts at s ends at s + p - 1 > s, which every u <= s < v meets, so its
+    starts are one run.  A one-point window [s, s] needs u < v too, which
+    leaves s = 1 (u = 0, v = 1) and s = N_z (u = N_z < v): at size 1, only
+    the starts 0 and N_z - 1 of the run are windows of successors."""
+    r1, r2, c1, c2 = box
+    first = np.maximum(np.maximum(r1, 1), np.minimum(c1, points) - size + 1) - 1
+    stop = np.minimum(np.maximum(r2, 1), np.minimum(c2, points) - size + 1)
+    return first, np.where((r1 <= r2) & (c1 <= c2), stop, first)
 
 
-def _window_runs(reaches: list[np.ndarray], lo: np.ndarray, hi: np.ndarray, points: int) -> list:
-    """Per window size p (index p of the result, 0 .. points), the pairs
-    (starts, rels) such that ``window[j, starts]`` of :func:`_sorted_windows`
-    are the p-point windows of the intervals ``reaches[r]`` for each r in
-    ``rels``, intervals that every instance of the node reaches.  Relations
-    with the same windows share a pair (``A`` and ``Bi`` do at [0, 1]).
-    ``starts`` is a slice when the windows start at consecutive points, as
-    they do for p >= 2, and a list of starts otherwise (at degree 3 and up,
-    the one-point windows of ``Li`` from [N - 1, N] lie at points 1 and
-    N - 3)."""
-    hit = np.zeros((len(reaches), points + 1, points), dtype=bool)
-    for r, reach in enumerate(reaches):
-        first, last = lo[reach], hi[reach]
-        spans = first <= last
-        hit[r, (last - first + 1)[spans], first[spans] - 1] = True
-    count = hit.sum(axis=2).T.tolist()
-    first = hit.argmax(axis=2).T.tolist()
-    stop = (points - hit[:, :, ::-1].argmax(axis=2)).T.tolist()
-    runs = []
-    for p in range(points + 1):
-        shared: dict = {}  # a run (first, stop), or (None, starts) -> its relations
-        for r in range(len(reaches)):
-            if count[p][r] == stop[p][r] - first[p][r]:
-                shared.setdefault((first[p][r], stop[p][r]), []).append(r)
-            elif count[p][r]:
-                shared.setdefault((None, tuple(np.flatnonzero(hit[r, p]).tolist())), []).append(r)
-        runs.append([
-            (slice(*key) if key[0] is not None else list(key[1]), rels) for key, rels in shared.items()
-        ])
-    return runs
+def _window_reads(box: np.ndarray, points: int) -> list:
+    """How :func:`_streamed_critical_ranks` reads the p-point windows (entry
+    p - 1, up to the longest window of a successor) of the (4, R, D)
+    :func:`_successor_boxes` at ``points`` = N_z, from their
+    :func:`_window_runs`.  On one reference (D = 1): pairs (starts, rels) of
+    a slice of starts, or at size 1 a list of the starts 0 and N_z - 1 that
+    the run holds, and the relations that read them (``A`` and ``Bi`` share
+    theirs at [0, 1]).  On several: (lo, hi, depth), the (R, D) rows of the
+    size's sparse table whose fold is each run, and the table's top level.
+    Level k holds from row k (S + 1) - 2^k + 1 the fold of every 2^k
+    consecutive starts of the S = N_z - p + 1, so that a run of length L is
+    the fold of level floor(log2 L) at its first start and at its stop - 2^k
+    (Bender and Farach-Colton, "The LCA Problem Revisited", LATIN 2000).  An
+    empty run, and at size 1 a missing start, reads the never row N_z
+    (floor(log2 N_z) + 1), past the largest table."""
+    r1, r2, c1, c2 = box
+    # the longest window of a successor is that of [r1, c2]
+    last = max(0, int((np.minimum(c2, points) - np.maximum(r1, 1) + 1)[(r1 <= r2) & (c1 <= c2)].max()))
+    sizes = np.arange(1, last + 1)
+    first, stop = _window_runs(box, points, sizes[:, None, None])
+    if box.shape[2] == 1:
+        reads = []
+        for size, firsts, stops in zip(sizes.tolist(), first[..., 0].tolist(), stop[..., 0].tolist()):
+            shared: dict = {}
+            for rel, (a, b) in enumerate(zip(firsts, stops)):
+                if size == 1:
+                    key = tuple(s for s in dict.fromkeys((0, points - 1)) if a <= s < b)
+                else:
+                    key = (a, b) if a < b else ()
+                if key:
+                    shared.setdefault(key, []).append(rel)
+            reads.append([(list(key) if size == 1 else slice(*key), rels) for key, rels in shared.items()])
+        return reads
+    never = points * points.bit_length()
+    length = stop - first
+    level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2 L)
+    span = 1 << level
+    base = level * (points + 2 - sizes[:, None, None]) - span + 1
+    held = length > 0
+    lo = np.where(held, base + first, never)
+    hi = np.where(held, base + stop - span, never)
+    if last:  # size 1: level 0 at the starts 0 and N_z - 1 only
+        lo[0] = np.where((first[0] <= 0) & (0 < stop[0]), 0, never)
+        hi[0] = np.where((first[0] < points) & (points <= stop[0]), points - 1, never)
+    return list(zip(lo, hi, level.max(axis=(1, 2)).tolist()))
 
 
 def _streamed_critical_ranks(
     ranks: np.ndarray,
     t: int,
-    runs: list,
+    reads: list,
     r: int,
+    back: Optional[np.ndarray],
     sweeps: list[tuple[Comparator, float]],
     n: int,
 ) -> list[np.ndarray]:
     """Per (comparator, alpha) of ``sweeps``, the (r, B * m) critical ranks
-    that :func:`_critical_ranks` reads from :func:`_order_statistics`' table,
-    for one batch's :func:`_ranks` with t its largest threshold count, and
-    for r relations whose intervals every instance of the node reaches,
-    their windows of each size p at ``runs[p]`` (see :func:`_window_runs`).
-    Each is the min (for ``<=``) or max (for ``>``) over the relation's
-    windows, folded in while :func:`_sorted_windows` holds them, from the
-    never value t (resp. -1), which an empty window reads; no table is
-    built."""
-    crits, plans = [], []  # plans: per sweep, its fold, its position per size and its rows
+    of one batch's :func:`_ranks` (t its largest threshold count) under r
+    relations whose windows are read as ``reads`` says, instance i standing
+    on reference ``back[i]`` (``back`` is None on one reference).  Entry [r,
+    a * m + i] is the min (for ``<=``) or max (for ``>``), over instance i's
+    successors under relation r, of the k-th smallest (resp. largest) rank
+    of attribute a over the successor's p data-bearing points, k =
+    ``required_counts(alpha, n)[p]``, from the never value t (resp. -1), which
+    an empty window reads; instance i satisfies the modality at thresholds[j]
+    iff it is <= j (resp. > j).  It is folded in while :func:`_sorted_windows`
+    holds each size's windows: on one reference over basic slices of the
+    order-statistic row, on several from a sparse table of that row (see
+    :func:`_window_reads`) with two flat takes."""
+    points, width = ranks.shape
+    plans = []  # per sweep: its fold, its position per size, its never value and its ranks
     for comparator, alpha in sweeps:
-        smallest = comparator is Comparator.LE
-        crit = np.full((r, ranks.shape[1]), t if smallest else -1, dtype=ranks.dtype)
-        k = required_counts(alpha, n)
-        position = k - 1 if smallest else np.arange(n + 1) - k
-        crits.append(crit)
-        plans.append((np.minimum if smallest else np.maximum, position.tolist(), list(crit)))
-    last = max((p for p, run in enumerate(runs) if run), default=0)
+        smallest, k = comparator is Comparator.LE, required_counts(alpha, n)
+        never, position = (t, k - 1) if smallest else (-1, np.arange(n + 1) - k)
+        crit = np.full((r, width), never, dtype=ranks.dtype)
+        plans.append((np.minimum if smallest else np.maximum, position.tolist(), never, crit))
+    if back is not None:
+        # the largest sparse table, and the never row after it
+        table = np.empty((points * points.bit_length() + 1, width), dtype=ranks.dtype)
+        flat = table.reshape(-1)
+        columns = np.arange(width).reshape(-1, back.size)  # column a * m + i
     for size, window in _sorted_windows(ranks):
-        if size > last:  # longer windows reach no relation
+        if size > len(reads):  # longer windows reach no relation
             break
-        for fold, position, rows in plans:
-            stat = window[position[size]]
-            for starts, rels in runs[size]:
-                folded = fold.reduce(stat[starts], axis=0)
-                for rel in rels:
-                    fold(rows[rel], folded, out=rows[rel])
-    return crits
+        if back is None:
+            for fold, position, _, crit in plans:
+                stat = window[position[size]]
+                for starts, rels in reads[size - 1]:
+                    folded = fold.reduce(stat[starts], axis=0)
+                    for rel in rels:
+                        fold(crit[rel], folded, out=crit[rel])
+            continue
+        lo, hi, depth = reads[size - 1]
+        # the flat entries of every (relation, column)'s two reads
+        lo, hi = (
+            (np.multiply(read[:, back], width, dtype=np.intp)[:, None, :] + columns).reshape(r, width)
+            for read in (lo, hi)
+        )
+        starts = points - size + 1
+        for fold, position, never, crit in plans:
+            table[-1] = never
+            table[:starts] = window[position[size]]
+            for k in range(1, depth + 1):  # level k from level k - 1, h = 2^(k - 1) rows on
+                h = 1 << (k - 1)
+                rows, below = starts - 2 * h + 1, table[(k - 1) * (starts + 1) - h + 1 :]
+                fold(below[:rows], below[h : h + rows], out=table[k * (starts + 1) - 2 * h + 1 :][:rows])
+            fold(crit, fold(flat.take(lo), flat.take(hi)), out=crit)
+    return [crit for *_, crit in plans]
 
 
 def _split_scorer(parent_counts: np.ndarray, low: int):
@@ -398,28 +402,20 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
         return None
     n = instances[0].series_length
 
-    # the K intervals [u, v] over {0, ..., n} in enumerate_intervals order;
-    # per relation, in rank order, the indices ``reach`` of the intervals
-    # that succeed some reference, and the (reach, m) mask of each
-    # instance's successors among them, built once per distinct reference
-    # and gathered out to the instances (None when all instances stand on
-    # one reference, so that each reached interval succeeds every
-    # instance); a relation without successors for any instance holds
+    # per relation, in rank order, the successor box of each distinct
+    # reference; a relation without successors for any instance holds
     # nowhere, and since min_leaf_size >= 1 it has no admissible candidate
-    u, v = np.triu_indices(n + 1, k=1)
     refs = np.array([inst.reference.x * (n + 1) + inst.reference.y for inst in instances])
     distinct, back = np.unique(refs, return_inverse=True)
     ref_x, ref_y = np.divmod(distinct, n + 1)
-    shared = distinct.size == 1
-    masks = []
-    for rel in sorted(config.relations, key=lambda r: r.rank):
-        r1, r2, c1, c2 = relation_rectangle(rel, ref_x, ref_y, n)
-        mask = (r1 <= u[:, None]) & (u[:, None] <= r2) & (c1 <= v[:, None]) & (v[:, None] <= c2)
-        reach = np.flatnonzero(mask.any(axis=1))
-        if reach.size:
-            masks.append((rel, reach, None if shared else mask[reach][:, back]))
-    if not masks:
+    relations = sorted(config.relations, key=lambda r: r.rank)
+    box = _successor_boxes(relations, ref_x, ref_y, n)
+    held = ((box[0] <= box[1]) & (box[2] <= box[3])).any(axis=1)
+    if not held.any():
         return None
+    relations = [rel for rel, kept in zip(relations, held.tolist()) if kept]
+    box = box[:, held]
+    back = back if distinct.size > 1 else None
 
     deriv = np.stack([inst.channels for inst in instances])
     classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
@@ -431,7 +427,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     best_cand: Optional[SplitCandidate] = None
 
     sweeps = [(cmp, alpha) for cmp in config.comparators for alpha in config.alpha_grid]
-    r = len(masks)
+    r = len(relations)
     top = min(config.max_derivative, n - 1)
     for z in range(top + 1):
         if z:
@@ -442,49 +438,21 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             if thresholds:
                 searched.append((attr, thresholds))
         points = n - z
-        # an attribute's largest window on one reference, else its tables
-        cells = (points + 1) ** 2 // 4 if shared else len(sweeps) * (1 + points * (points + 1) // 2)
+        # an attribute's two window buffers and its sparse table, per instance
+        cells = 2 * ((points + 1) ** 2 // 4) + points * points.bit_length()
         per_batch = max(1, _TABLE_CELLS // (cells * m))
         batches = [searched[first : first + per_batch] for first in range(0, len(searched), per_batch)]
-        if shared:
-            runs = _window_runs([reach for _, reach, _ in masks], *point_spans(u, v, n, z), points)
-            # every batch is ranked before any window grows, so that the
-            # floats of the last degree are gone by then
-            ranked = [_ranks([deriv[:, attr] for attr, _ in batch], [thr for _, thr in batch])
-                      for batch in batches]
-            if z == top:
-                deriv = None
-        else:
-            lo, hi = point_spans(u, v, n, z)
-            length = np.maximum(hi - lo + 1, 0)
+        reads = _window_reads(box, points)
+        # every batch is ranked before any window grows, so that the floats
+        # of the last degree are gone by then
+        ranked = [_ranks([deriv[:, attr] for attr, _ in batch], [thr for _, thr in batch]) for batch in batches]
+        if z == top:
+            deriv = None
         for k, batch in enumerate(batches):
             b = len(batch)
             counts = np.array([len(thresholds) for _, thresholds in batch])
             t = int(counts.max())
-            if shared:
-                crits = _streamed_critical_ranks(ranked[k], t, runs, r, sweeps, n)
-            else:
-                tables, at = _order_statistics(
-                    [deriv[:, attr] for attr, _ in batch], [thr for _, thr in batch], lo, length, sweeps, n
-                )
-                # per relation, the table rows of its reached intervals and
-                # bounds that turn every entry off an instance's mask into
-                # the never value, broadcast over the batch's attributes:
-                # np.maximum with the first (0 on the mask, t off it) for
-                # <=, np.minimum with the second (t on, -1 off) for >.  A
-                # plain reduction of the bounded rows then equals the masked
-                # one, without the branching that a where= reduction (or
-                # np.where) pays on scattered masks.
-                reached = []
-                for _, reach, mask in masks:
-                    off = (~mask).astype(tables[0].dtype)[:, None]
-                    reached.append((at[reach], (off * t, off * (-t - 1) + t)))
-                crits = [
-                    _critical_ranks(table, reached, comparator is Comparator.LE, b)
-                    for (comparator, _), table in zip(sweeps, tables)
-                ]
-                # release the tables before the scoring allocates
-                del tables, reached
+            crits = _streamed_critical_ranks(ranked[k], t, reads, r, back, sweeps, n)
             # bincount offsets: row (a, r, rank + 1, class) of a (B, R, t + 2,
             # q) table, laid out as crit is, (R, B * m)
             cell = np.arange(b) * r + np.arange(r)[:, None]
@@ -495,7 +463,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             for (comparator, alpha), crit in zip(sweeps, crits):
                 smallest = comparator is Comparator.LE
                 # le[a, r, j, c]: instances of class c whose critical rank
-                # for attribute a under masks[r] is <= j
+                # for attribute a under relations[r] is <= j
                 hist = np.bincount((base + q * crit.astype(np.intp)).ravel(), minlength=b * r * (t + 2) * q)
                 # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
                 # form leaves fresh name strings in CPython's type cache
@@ -518,7 +486,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                 si = score(c1)
                 w = int(si.argmin())
                 attr, thresholds = batch[attr_at[w]]
-                rel = masks[rel_at[w]][0]
+                rel = relations[rel_at[w]]
                 key = (float(si[w]), attr, rel.rank, comparator.rank, thresholds[thr_at[w]], alpha, z)
                 if key[0] >= parent_info or (best_key is not None and key >= best_key):
                     continue

@@ -23,6 +23,8 @@ from .core import (
     LearnerConfig,
     Node,
     TemporalDecision,
+    iter_leaves,
+    iter_nodes,
 )
 
 MODEL_FORMAT = "tstrees-model"
@@ -88,10 +90,13 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
 def _tree_from_dict(obj: dict) -> DecisionTree:
     kind = obj.get("kind")
     if kind == "leaf":
-        return Leaf(
-            class_index=int(obj["class_index"]),
-            class_counts=tuple(int(c) for c in obj["class_counts"]),
-        )
+        try:
+            return Leaf(
+                class_index=int(obj["class_index"]),
+                class_counts=tuple(int(c) for c in obj["class_counts"]),
+            )
+        except (ValueError, TypeError) as exc:
+            raise DataFormatError(f"malformed leaf in model file: {exc}") from exc
     if kind == "node":
         return Node(
             decision=_decision_from_dict(obj["decision"]),
@@ -155,7 +160,7 @@ def model_from_text(text: str) -> ModelBundle:
             f"model version {version!r} is not supported (expected {MODEL_VERSION})"
         )
     try:
-        return ModelBundle(
+        bundle = ModelBundle(
             tree=_tree_from_dict(payload["tree"]),
             attribute_names=[str(s) for s in payload["attribute_names"]],
             class_names=[str(s) for s in payload["class_names"]],
@@ -164,6 +169,21 @@ def model_from_text(text: str) -> ModelBundle:
         )
     except KeyError as exc:
         raise DataFormatError(f"model file is missing {exc}") from exc
+    _check_tree_fits(bundle)
+    return bundle
+
+
+def _check_tree_fits(bundle: ModelBundle) -> None:
+    """Refuse a tree that does not fit its own header, which applying it
+    would find out only halfway."""
+    attributes, points, classes = len(bundle.attribute_names), bundle.series_length, len(bundle.class_names)
+    for d in (node.decision for node in iter_nodes(bundle.tree)):
+        if d.attribute_index >= attributes or d.derivative_degree >= points:
+            raise DataFormatError(f"model tree reads attribute {d.attribute_index} at degree {d.derivative_degree}, "
+                                  f"but the model has {attributes} attributes of {points} points")
+    for leaf in iter_leaves(bundle.tree):
+        if len(leaf.class_counts) != classes:
+            raise DataFormatError(f"model leaf has {len(leaf.class_counts)} class counts for {classes} classes")
 
 
 def save_model(path: Union[str, Path], bundle: ModelBundle) -> None:

@@ -194,6 +194,35 @@ class BulkChecker:
         return satisfied, witness
 
 
+@lru_cache(maxsize=None)
+def successor_spans(x: int, y: int, relation, n: int, z: int) -> tuple:
+    """The data-bearing point ranges (lo, hi), lo <= hi, of the successors of
+    [x, y] under ``relation`` (by its direct definition) at degree z."""
+    return tuple(
+        (max(u, 1), min(v, n - z))
+        for u, v in all_intervals(n)
+        if RELATION_DEFS[relation](x, y, u, v) and max(u, 1) <= min(v, n - z)
+    )
+
+
+def critical_ranks(ranks, x: int, y: int, relation, sweeps, n: int, z: int, never: int) -> list[int]:
+    """Per (comparator, alpha) of ``sweeps``, one instance's critical rank
+    by definition: ``ranks`` holds its threshold ranks at points 1 .. n - z;
+    per successor of its reference [x, y] under ``relation``, sort the ranks
+    of the successor's data-bearing points and take the k-th smallest (for
+    ``<=``) or k-th largest (for ``>``), k = ceil(alpha * p) for p points;
+    the critical rank is the least (resp. greatest) of these, or ``never``
+    (resp. -1) when no successor has a data-bearing point."""
+    windows = [sorted(ranks[lo - 1 : hi]) for lo, hi in successor_spans(x, y, relation, n, z)]
+    out = []
+    for comparator, alpha in sweeps:
+        if comparator is Comparator.LE:
+            out.append(min((w[ceil_alpha(alpha, len(w)) - 1] for w in windows), default=never))
+        else:
+            out.append(max((w[-ceil_alpha(alpha, len(w))] for w in windows), default=-1))
+    return out
+
+
 def entropy(counts) -> float:
     total = sum(counts)
     acc = 0.0

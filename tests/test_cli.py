@@ -213,6 +213,37 @@ def test_predict_refuses_a_model_whose_config_lists_eq_exits_2(tmp_path, capsys)
     assert out == "" and err.startswith("data error: ") and "malformed config" in err
 
 
+@pytest.mark.parametrize("kind, edit, message", [
+    ("attribute", lambda tree: tree["decision"].update(attribute_index=9),
+     "reads attribute 9 at degree 0, but the model has 1 attributes of 4 points"),
+    ("degree", lambda tree: tree["decision"].update(derivative_degree=500),
+     "reads attribute 0 at degree 500, but the model has 1 attributes of 4 points"),
+    ("classes", lambda tree: tree["left"].update(class_index=9, class_counts=[0] * 9 + [4]),
+     "leaf has 10 class counts for 2 classes"),
+    ("argmax", lambda tree: tree["left"].update(class_index=1, class_counts=[4, 0]),
+     "malformed leaf"),
+])
+def test_predict_refuses_a_model_whose_tree_does_not_fit_its_header_exits_2(tmp_path, capsys, kind, edit, message):
+    """A tree that reads an attribute the model does not name, a degree not
+    below its series length, or whose leaves count another number of classes
+    (or name a class that is not their counts' argmax), fails to load as a
+    data error, not later as an internal error."""
+    ds = separable_dataset()
+    data = write_dataset(tmp_path, ds)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path)]) == 0
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    assert payload["tree"]["kind"] == "node" and payload["tree"]["left"]["kind"] == "leaf"
+    edit(payload["tree"])
+    model_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2, kind
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and message in err, err
+    with pytest.raises(DataFormatError):
+        model_from_text(model_path.read_text(encoding="utf-8"))
+
+
 def test_non_finite_purity_is_a_usage_error_and_a_malformed_model(tmp_path, capsys):
     """``--purity nan`` or ``inf`` exits 1 before anything is written; a model
     file that carries such a threshold fails to load as a malformed config

@@ -36,7 +36,7 @@ from tstrees.induction import (
     info_split,
     static_series_dataset,
 )
-from tstrees.intervals import point_spans, relation_rectangle, required_counts
+from tstrees.intervals import point_spans
 
 import oracles
 from conftest import random_dataset
@@ -402,16 +402,24 @@ def test_best_split_is_the_same_with_one_attribute_per_batch_property(node):
 
 
 def test_root_search_on_long_series_stays_within_its_memory_budget():
-    """A root search on 96 Gaussian series of 6 channels with the
+    """A split search on 96 Gaussian series of 6 channels with the
     racket-train options (full HS, ``<=`` and ``>``, alphas 0.6 and 0.9,
     degree 0) stays within an 11 MiB tracemalloc peak at 150 points and a
-    12 MiB one at 300 points (1.7 and 5.6 MiB measured; 6.6 and 24.8 MiB
-    with a table per sweep): a node on one reference keeps only its growing
-    windows, and a batch frees them before the next batch grows its own."""
+    12 MiB one at 300 points on the root reference (1.3 and 4.5 MiB
+    measured; 6.6 and 24.8 MiB with a table per sweep), and within 11 MiB at
+    150 points with the series spread over 20 distinct references (3.1 MiB
+    measured; 23 MiB with a gathered mask per relation and a table per
+    sweep): a node keeps only its growing windows and one sparse table, and
+    a batch frees them before the next batch grows its own."""
     rng = np.random.default_rng(5)
     config = LearnerConfig(alpha_grid=(0.6, 0.9))
-    for points, budget in ((150, 11 * 2**20), (300, 12 * 2**20)):
-        instances = [Instance(rng.normal(size=(6, points)), i % 4) for i in range(96)]
+    for points, distinct, budget in ((150, 1, 11 * 2**20), (300, 1, 12 * 2**20), (150, 20, 11 * 2**20)):
+        pool = [Interval(0, 1)]
+        if distinct > 1:
+            cells = [Interval(x, y) for x in range(points) for y in range(x + 1, points + 1)]
+            pool = [cells[k] for k in np.random.default_rng(7).choice(len(cells), distinct, replace=False)]
+        instances = [Instance(rng.normal(size=(6, points)), i % 4, reference=pool[i % distinct])
+                     for i in range(96)]
         best_split(instances, config)  # warm the caches
         tracemalloc.start()
         try:
@@ -419,41 +427,94 @@ def test_root_search_on_long_series_stays_within_its_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= budget, points
+        assert peak <= budget, (points, distinct)
 
 
 @st.composite
-def _window_nodes(draw):
-    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 40 points,
-    each attribute on a coarse or a fine value grid, a derivative degree up
-    to 3 (and below N), a threshold cap up to 300 and 1 to 3 alphas, on and
-    off the grid of tenths."""
-    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 40))
+def _successor_nodes(draw):
+    """A series length N from 2 to 40, a derivative degree up to 3 (and
+    below N) and 1 to 4 distinct references anywhere in the series."""
+    n = draw(st.integers(2, 40))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    return n, draw(st.integers(0, min(3, n - 1))), draw(st.lists(interval, min_size=1, max_size=4, unique=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_successor_nodes())
+# from [N - 1, N] at degree 3, the one-point windows of Li lie at points 1 and N_z
+@example((40, 3, [Interval(39, 40)]))
+@example((2, 1, [Interval(0, 1), Interval(1, 2), Interval(0, 2)]))  # N_z = 1
+def test_window_runs_equal_the_successor_windows_property(node):
+    """For every relation and reference, the successor box is empty exactly
+    when the reference has no successor, and the closed-form runs of window
+    starts (at size 1, their starts 0 and N_z - 1) are the (size, start) of
+    the successors' windows, enumerated through the direct relation
+    definitions and :func:`point_spans`."""
+    n, z, references = node
+    points = n - z
+    relations = sorted(Rel, key=lambda r: r.rank)
+    x, y = np.array([[ref.x, ref.y] for ref in references]).T
+    box = induction._successor_boxes(relations, x, y, n)
+    first, stop = induction._window_runs(box, points, np.arange(1, points + 1)[:, None, None])
+    for r, rel in enumerate(relations):
+        for d, ref in enumerate(references):
+            spans = [point_spans(u, v, n, z) for u, v in oracles.all_intervals(n)
+                     if oracles.RELATION_DEFS[rel](ref.x, ref.y, u, v)]
+            r1, r2, c1, c2 = box[:, r, d]
+            assert (r1 <= r2 and c1 <= c2) == bool(spans), (rel, ref)
+            want = {(int(hi - lo + 1), int(lo - 1)) for lo, hi in spans if lo <= hi}
+            got = set()
+            for size in range(1, points + 1):
+                starts = set(range(first[size - 1, r, d], stop[size - 1, r, d]))
+                got |= {(size, s) for s in (starts & {0, points - 1} if size == 1 else starts)}
+            assert got == want, (rel, ref)
+
+
+@st.composite
+def _critical_rank_nodes(draw):
+    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 30 points,
+    each series on one of a pool of 1 to 3 references anywhere in the
+    series, at a degree up to 3 (and below N): each attribute on a coarse
+    grid (tied values) or a fine one, a threshold cap up to 300 (so int8 or
+    int16 ranks), and 1 to 3 alphas, on and off the grid of tenths."""
+    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 30))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    pool = draw(st.lists(interval, min_size=1, max_size=3, unique=True))
+    references = [draw(st.sampled_from(pool)) for _ in range(m)]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = np.array(draw(st.lists(st.sampled_from((2, 1000)), min_size=b, max_size=b)))[:, None, None]
     series = rng.integers(-scale, scale + 1, size=(b, m, n)) / scale
     alphas = draw(st.lists(
-        st.sampled_from((0.5, 0.7, 1.0)) | st.floats(0.01, 1.0), min_size=1, max_size=3
+        st.sampled_from((0.33, 0.5, 0.7, 1.0)) | st.floats(0.01, 1.0), min_size=1, max_size=3
     ))
-    return series, draw(st.integers(0, min(3, n - 1))), draw(st.integers(1, 300)), alphas
+    return series, references, draw(st.integers(0, min(3, n - 1))), draw(st.integers(1, 300)), alphas
 
 
 _SHUFFLED = (np.arange(160) * 37 % 160).reshape(4, 40).astype(np.float64)
+_POOL = [Interval(0, 1), Interval(3, 17), Interval(39, 40), Interval(3, 17)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(_window_nodes())
-@example((_SHUFFLED[None], 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
-@example((_SHUFFLED[None], 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
-@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], 0, 100, [1.0]))  # j48's static path
+@given(_critical_rank_nodes())
+@example((_SHUFFLED[None], _POOL, 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
+@example((_SHUFFLED[None], _POOL, 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
+@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], [Interval(0, 1)] * 3, 0, 100, [1.0]))  # j48's static path
 # two attributes with 127 and 4 thresholds, and empty windows at degree 2
-@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), 2, 127, [0.55, 1.0]))
-def test_order_statistic_tables_equal_sorted_windows_property(node):
-    """Each sweep's ``table[at]`` holds, per interval and each attribute's
-    instance, the k-th smallest (``<=``) or k-th largest (``>``) threshold
-    rank of the interval's data-bearing points, and on an empty one the
-    never value of the batch, whose attributes stand side by side."""
-    series, z, cap, alphas = node
+@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), _POOL, 2, 127, [0.55, 1.0]))
+@example((_SHUFFLED[None], [Interval(3, 17)] * 4, 1, 300, [0.33, 1.0]))  # 155 thresholds: int16
+# from [N - 1, N] at degree 3, the one-point windows of Li start at points 1 and N - 3
+@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), [Interval(39, 40)] * 4, 3, 300, [0.33, 1.0]))
+def test_streamed_critical_ranks_equal_the_definition_property(node):
+    """For every relation and (comparator, alpha), the critical ranks folded
+    in while the windows grow, on one reference or through the sparse
+    tables of several, equal :func:`oracles.critical_ranks`, which sorts the
+    threshold ranks of each successor's window and takes the k-th; the
+    batch's attributes stand side by side, in the smallest rank type."""
+    series, references, z, cap, alphas = node
     n = series.shape[2]
     derivs, thresholds = [], []
     for attribute in series:
@@ -464,92 +525,22 @@ def test_order_statistic_tables_equal_sorted_windows_property(node):
             thresholds.append(found)
     if not derivs:
         return
-    m = derivs[0].shape[0]
-    t = max(map(len, thresholds))
-    u, v = np.triu_indices(n + 1, k=1)
-    lo, hi = point_spans(u, v, n, z)
-    sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
-    tables, at = induction._order_statistics(derivs, thresholds, lo, hi - lo + 1, sweeps, n)
-    ranks = np.concatenate(
-        [(np.array(thr) < deriv[:, :, None]).sum(axis=2) for deriv, thr in zip(derivs, thresholds)]
-    )
-    want = np.empty((len(sweeps), len(derivs) * m, u.size), dtype=np.int64)
-    for col, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
-        window = np.sort(ranks[:, max(x, 1) - 1 : min(y, n - z)], axis=1)
-        p = window.shape[1]
-        for s, (comparator, alpha) in enumerate(sweeps):
-            smallest = comparator is Comparator.LE
-            if not p:
-                want[s, :, col] = t if smallest else -1
-                continue
-            k = int(required_counts(alpha, n)[p])
-            want[s, :, col] = window[:, k - 1] if smallest else window[:, p - k]
-    for table, rows in zip(tables, want):
-        assert table.dtype == np.min_scalar_type(-t - 1)
-        assert (table[at].T == rows).all()
-
-
-@st.composite
-def _shared_reference_nodes(draw):
-    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 40 points, all
-    on one reference anywhere in the series, at a degree up to 3 (and below
-    N): each attribute on a coarse grid (tied values) or a fine one (up to
-    300 thresholds, so int16 ranks), with alphas 0.33 and 1.0 and maybe
-    0.5 or 0.7."""
-    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 40))
-    x = draw(st.integers(0, n - 1))
-    reference = Interval(x, draw(st.integers(x + 1, n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = np.array(draw(st.lists(st.sampled_from((2, 1000)), min_size=b, max_size=b)))[:, None, None]
-    series = rng.integers(-scale, scale + 1, size=(b, m, n)) / scale
-    alphas = sorted({0.33, 1.0} | draw(st.sets(st.sampled_from((0.5, 0.7)))))
-    return series, reference, draw(st.integers(0, min(3, n - 1))), alphas
-
-
-@settings(max_examples=150, deadline=None)
-@given(_shared_reference_nodes())
-@example((_SHUFFLED[None], Interval(3, 17), 1, [0.33, 1.0]))  # 155 thresholds: int16
-# from [N - 1, N] at degree 3, the one-point windows of Li start at points 1 and N - 3
-@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), Interval(39, 40), 3, [0.33, 1.0]))
-@example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], Interval(0, 1), 0, [0.33, 1.0]))
-def test_streamed_critical_ranks_equal_the_table_reduction_property(node):
-    """On a node whose instances share one reference, the critical ranks
-    folded in while the windows grow equal, for every relation that reaches
-    some interval and every (comparator, alpha), the reduction of
-    :func:`induction._order_statistics`' table under the relation's mask,
-    taken by :func:`induction._critical_ranks`."""
-    series, reference, z, alphas = node
-    n = series.shape[2]
-    derivs, thresholds = [], []
-    for attribute in series:
-        deriv = np.diff(attribute, n=z, axis=1)
-        found = candidate_thresholds(deriv.ravel(), 300)
-        if found:
-            derivs.append(deriv)
-            thresholds.append(found)
-    if not derivs:
-        return
     m, t = derivs[0].shape[0], max(map(len, thresholds))
-    u, v = np.triu_indices(n + 1, k=1)
-    lo, hi = point_spans(u, v, n, z)
-    length = np.maximum(hi - lo + 1, 0)
-    reaches = []
-    for rel in sorted(Rel, key=lambda r: r.rank):
-        r1, r2, c1, c2 = relation_rectangle(rel, reference.x, reference.y, n)
-        reach = np.flatnonzero((r1 <= u) & (u <= r2) & (c1 <= v) & (v <= c2))
-        if reach.size:
-            reaches.append(reach)
+    distinct, back = np.unique([ref.x * (n + 1) + ref.y for ref in references], return_inverse=True)
+    relations = sorted(Rel, key=lambda r: r.rank)
+    box = induction._successor_boxes(relations, *np.divmod(distinct, n + 1), n)
     sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
-    runs = induction._window_runs(reaches, lo, hi, n - z)
-    ranks = induction._ranks(derivs, thresholds)
-    streamed = induction._streamed_critical_ranks(ranks, t, runs, len(reaches), sweeps, n)
-    tables, at = induction._order_statistics(derivs, thresholds, lo, length, sweeps, n)
-    for (comparator, _), table, got in zip(sweeps, tables, streamed):
-        # every instance reaches every interval of the relation: nothing is bounded
-        reached = [(at[reach], (np.zeros((reach.size, 1, m), table.dtype), t)) for reach in reaches]
-        want = induction._critical_ranks(table, reached, comparator is Comparator.LE, len(derivs))
-        assert got.dtype == table.dtype == np.min_scalar_type(-t - 1)
-        assert np.array_equal(got, want)
+    got = induction._streamed_critical_ranks(
+        induction._ranks(derivs, thresholds), t, induction._window_reads(box, n - z), len(relations),
+        back if distinct.size > 1 else None, sweeps, n,
+    )
+    assert all(crit.dtype == np.min_scalar_type(-t - 1) for crit in got)
+    for a, (deriv, thr) in enumerate(zip(derivs, thresholds)):
+        ranks = (np.array(thr) < deriv[:, :, None]).sum(axis=2).tolist()
+        for i, ref in enumerate(references):
+            for r, rel in enumerate(relations):
+                want = oracles.critical_ranks(ranks[i], ref.x, ref.y, rel, sweeps, n, z, t)
+                assert [int(crit[r, a * m + i]) for crit in got] == want, (rel, ref)
 
 
 @st.composite
