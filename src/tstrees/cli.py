@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 import traceback
+import warnings
 from dataclasses import fields, replace
 from functools import cache, partial
 from pathlib import Path
@@ -358,7 +359,11 @@ def _race(datasets, plan, args) -> int:
             raise DataFormatError(
                 f"{name}: {trimmed.size} case, need at least two to split into training and test sets"
             )
-        train, test = resample_split(trimmed, args.train_fraction, args.seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            train, test = resample_split(trimmed, args.train_fraction, args.seed)
+        for warning in caught:  # a class too small to stratify, named with its dataset
+            print(f"warning: {name}: {warning.message}", file=sys.stderr)
         for side, part in (("training", train), ("test", test)):
             if not part.instances:
                 raise DataFormatError(
@@ -490,7 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="accepted and ignored: the learner is deterministic")
     p_train.add_argument("--out", default=None, help="write the model file here")
     p_train.add_argument("--theory-class", default=None,
-                         help="also print the extracted formulas for this class")
+                         help="also print one flat formula per path to this class: a term below a "
+                              "satisfied modal edge holds at its witness, not at [0, 1], so they are not "
+                              "the classifier; [X] terms' flipped comparators are a convention")
     p_train.set_defaults(func=_cmd_train)
 
     p_predict = subs.add_parser("predict", help="print one class name per instance")

@@ -20,7 +20,6 @@ grown and applied, :func:`check_decision` its one-instance call and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
@@ -142,8 +141,8 @@ def derivative(channel: Sequence[float] | np.ndarray, z: int) -> np.ndarray:
 def required_count(alpha: float, n_points: int) -> int:
     """ceil(alpha * n_points), computed on alpha's exact binary value so that
     results do not depend on intermediate rounding."""
-    frac = Fraction(alpha)
-    return -((-frac.numerator * n_points) // frac.denominator)
+    numerator, denominator = alpha.as_integer_ratio()
+    return -((-numerator * n_points) // denominator)
 
 
 @lru_cache(maxsize=256)

@@ -126,7 +126,12 @@ def extract_class_theory(
     the universal modality over the negated condition (printed with the
     flipped comparator); eq edges print without a modality.  A bare leaf of
     the class yields the constant ``true``.  Classes absent from every leaf
-    yield an empty list.
+    yield an empty list.  Each path prints as a flat conjunction, but a term
+    below a satisfied modal edge holds at that edge's witness, not at [0, 1],
+    so a formula read from [0, 1] is not the classifier (the planted Rise
+    formula of ``tests/test_golden_outputs.py`` holds on all 12 Rise and all
+    12 Fall series).  A ``[X]`` term's flipped comparator at the same alpha
+    is a convention: at alpha 1, "not every point <= t" is "some point > t".
     """
     formulas: list[str] = []
 

@@ -497,7 +497,6 @@ def test_missing_file_exits_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:class .* falling back to unstratified assignment")
 def test_compare_and_bench_refuse_too_few_cases_exits_2(tmp_path, capsys):
     # one case cannot be split; two or three leave the 80 % split's test side empty
     for count, reason in (
@@ -552,6 +551,39 @@ def _run_without_warnings(command):
         code = main(command)
     assert caught == [], [str(w.message) for w in caught]
     return code
+
+
+def _singleton_class_case(tmp_path):
+    """A folder holding odd.ts: nine cases of class a and one of class b."""
+    folder = tmp_path / "one"
+    folder.mkdir()
+    rows = [f"{i}.0,{i + 1}.0,{i % 3}.0:a\n" for i in range(9)] + ["5.0,0.0,5.0:b\n"]
+    (folder / "odd.ts").write_text("".join(rows), encoding="utf-8")
+    return folder
+
+
+_SINGLETON_WARNING = (
+    "warning: odd: class 'b' has 1 instance(s); falling back to unstratified assignment for it\n"
+)
+
+
+def test_compare_names_the_dataset_of_a_one_member_class(tmp_path, capsys):
+    folder = _singleton_class_case(tmp_path)
+    report = tmp_path / "report.tsv"
+    command = ["compare", "--data", str(folder / "odd.ts"), "--methods", "ed-i", "--report", str(report)]
+    assert _run_without_warnings(command) == 0
+    out, err = capsys.readouterr()
+    assert err == _SINGLETON_WARNING
+    assert out.splitlines()[1].split()[0] == "ed-i"
+    assert report.read_text(encoding="utf-8").startswith("odd\ted-i\taccuracy\t")
+
+
+def test_bench_names_the_dataset_of_a_one_member_class(tmp_path, capsys):
+    folder = _singleton_class_case(tmp_path)
+    assert _run_without_warnings(["bench", "--data-dir", str(folder), "--methods", "ed-i"]) == 0
+    out, err = capsys.readouterr()
+    assert err == _SINGLETON_WARNING
+    assert out.splitlines()[0].split() == ["method", "odd"]
 
 
 def _overflowing_midpoints_dataset():

@@ -498,6 +498,62 @@ _SHUFFLED = (np.arange(160) * 37 % 160).reshape(4, 40).astype(np.float64)
 _POOL = [Interval(0, 1), Interval(3, 17), Interval(39, 40), Interval(3, 17)]
 
 
+@st.composite
+def _rank_batches(draw):
+    """A batch of 1 to 3 attributes of 1 to 12 series of 2 to 30 points at a
+    degree up to 3 (and below N), each attribute on a coarse grid (tied
+    values), a fine one, or at degree 0 of any finite floats, and a threshold
+    cap up to 300 (so int8 or int16 ranks)."""
+    b, m, n = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(2, 30))
+    z = draw(st.integers(0, min(3, n - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = []
+    for _ in range(b):
+        if z == 0 and draw(st.booleans()):
+            finite = st.floats(allow_nan=False, allow_infinity=False)
+            series.append(draw(st.lists(finite, min_size=m * n, max_size=m * n)))
+        else:
+            scale = draw(st.sampled_from((2, 1000)))
+            series.append(rng.integers(-scale, scale + 1, size=m * n) / scale)
+    return np.array(series, dtype=np.float64).reshape(b, m, n), z, draw(st.integers(1, 300))
+
+
+_ULP = np.nextafter(1.0, 2.0) - 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_batches())
+# 1 and 1 + ulp have the midpoint 1; 1 + ulp and 1 + 2 ulp have 1 + 2 ulp
+@example((np.array([[[1.0, 1.0 + _ULP], [1.0 + _ULP, 1.0 + 2 * _ULP]]]), 0, 100))
+# sums past float64 range: the midpoints take the halves path
+@example((np.array([[[1.6e308, 1.7e308], [-1.7e308, -1.6e308]]]), 0, 100))
+@example((_SHUFFLED[None], 0, 5))  # 159 midpoints thinned to 5
+@example((np.stack([np.full((4, 40), 2.5), _SHUFFLED]), 0, 100))  # a constant attribute
+@example((np.round(_SHUFFLED / 40)[None], 0, 100))  # repeated values
+@example((np.random.default_rng(3).normal(size=(2, 6, 30)), 1, 300))  # degree 1, 173 thresholds: int16
+def test_batch_ranks_equal_a_search_of_the_thresholds_property(batch):
+    """The ranks from each attribute's argsort are, in the batch's (points,
+    B * m) layout and smallest rank type, what searching every value in the
+    attribute's candidate thresholds gives."""
+    series, z, cap = batch
+    derivs, thresholds = [], []
+    for attribute in series:
+        deriv = np.diff(attribute, n=z, axis=1)
+        found = candidate_thresholds(deriv.ravel(), cap)
+        if found:
+            derivs.append(deriv)
+            thresholds.append(found)
+    if not derivs:
+        return
+    m, points = derivs[0].shape
+    got = induction._batch_ranks(derivs, thresholds)
+    assert got.shape == (points, len(derivs) * m)
+    assert got.dtype == np.min_scalar_type(-max(map(len, thresholds)) - 1)
+    for a, deriv in enumerate(derivs):
+        want = np.searchsorted(candidate_thresholds(deriv.ravel(), cap), deriv.T, side="left")
+        assert (got[:, a * m : (a + 1) * m] == want).all()
+
+
 @settings(max_examples=100, deadline=None)
 @given(_critical_rank_nodes())
 @example((_SHUFFLED[None], _POOL, 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
@@ -531,7 +587,7 @@ def test_streamed_critical_ranks_equal_the_definition_property(node):
     box = induction._successor_boxes(relations, *np.divmod(distinct, n + 1), n)
     sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
     got = induction._streamed_critical_ranks(
-        induction._ranks(derivs, thresholds), t, induction._window_reads(box, n - z), len(relations),
+        induction._batch_ranks(derivs, thresholds), t, induction._window_reads(box, n - z), len(relations),
         back if distinct.size > 1 else None, sweeps, n,
     )
     assert all(crit.dtype == np.min_scalar_type(-t - 1) for crit in got)

@@ -118,6 +118,12 @@ def test_required_count_exact_ceiling():
     assert required_count(0.7, 5) == 4
 
 
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 10**6))
+@example(0.1, 10)  # 0.1 lies just above 1/10, so the ceiling is 2
+def test_required_count_equals_the_fraction_ceiling_property(alpha, n_points):
+    assert required_count(alpha, n_points) == oracles.ceil_alpha(alpha, n_points)
+
+
 def test_holds_on_worked_series():
     assert holds_on(O2, Interval(1, 3), Comparator.GT, 86.0, 1.0, 0)
     assert holds_on(TE, Interval(1, 2), Comparator.LE, 38.0, 1.0, 0)
