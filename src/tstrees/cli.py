@@ -11,7 +11,7 @@ import math
 import sys
 import traceback
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -174,29 +174,6 @@ def _check_model_shape(dataset: TemporalDataset, bundle: ModelBundle) -> None:
         )
 
 
-def _relabel(dataset: TemporalDataset, index: dict[str, int]) -> list[Instance]:
-    """Copies of the dataset's instances whose class indices point, by class
-    name, into ``index``."""
-    return [
-        replace(inst, class_index=index[dataset.class_names[inst.class_index]])
-        for inst in dataset.instances
-    ]
-
-
-def _remap_to_model(dataset: TemporalDataset, bundle: ModelBundle) -> TemporalDataset:
-    _check_model_shape(dataset, bundle)
-    index = {name: i for i, name in enumerate(bundle.class_names)}
-    unknown = [c for c in dataset.class_names if c not in index]
-    if unknown:
-        raise DataFormatError(f"data contains classes unknown to the model: {unknown}")
-    return TemporalDataset(
-        instances=_relabel(dataset, index),
-        attribute_names=list(bundle.attribute_names),
-        class_names=list(bundle.class_names),
-        series_length=dataset.series_length,
-    )
-
-
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     dataset = _load(args.data, args.format, args.class_column)
@@ -242,10 +219,17 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     bundle = load_model(args.model)
-    dataset = _remap_to_model(_load(args.data, args.format, args.class_column), bundle)
-    actual = [inst.class_index for inst in dataset.instances]
+    dataset = _load(args.data, args.format, args.class_column)
+    _check_model_shape(dataset, bundle)
+    names = bundle.class_names
+    index = {name: i for i, name in enumerate(names)}
+    unknown = [c for c in dataset.class_names if c not in index]
+    if unknown:
+        raise DataFormatError(f"data contains classes unknown to the model: {unknown}")
+    # each true label, by name, as the model's class index; routing never reads it
+    actual = [index[dataset.class_names[inst.class_index]] for inst in dataset.instances]
     leaves = classify_all(bundle.tree, dataset.instances)
-    matrix = ConfusionMatrix.tally([cls for cls, _ in leaves], actual, dataset.class_count)
+    matrix = ConfusionMatrix.tally([cls for cls, _ in leaves], actual, len(names))
     scores = []
     for true, (_, counts) in zip(actual, leaves):
         total = sum(counts)
@@ -256,10 +240,10 @@ def _cmd_evaluate(args) -> int:
     out = sys.stdout
     out.write(f"accuracy: {percent(acc)}\n")
     out.write("confusion matrix (rows = predicted, columns = true):\n")
-    width = max(len(name) for name in dataset.class_names)
+    width = max(len(name) for name in names)
     width = max(width, 6)
-    out.write(" " * (width + 2) + "".join(n.rjust(width + 2) for n in dataset.class_names) + "\n")
-    for i, name in enumerate(dataset.class_names):
+    out.write(" " * (width + 2) + "".join(n.rjust(width + 2) for n in names) + "\n")
+    for i, name in enumerate(names):
         out.write(
             name.rjust(width + 2)
             + "".join(str(v).rjust(width + 2) for v in matrix.counts[i])
@@ -268,13 +252,13 @@ def _cmd_evaluate(args) -> int:
     out.write("per-class metrics:\n")
     metrics = [f.name for f in fields(ClassMetrics)]
     out.write("  ".join(metric.rjust(9) for metric in metrics) + "  class\n")
-    for row, name in zip(report, dataset.class_names):
+    for row, name in zip(report, names):
         out.write("  ".join(f"{getattr(row, metric):9.3f}" for metric in metrics) + f"  {name}\n")
 
     if args.report:
         label = Path(args.data).stem
         records = [(label, "model", "accuracy", acc)]
-        for row, name in zip(report, dataset.class_names):
+        for row, name in zip(report, names):
             for metric in metrics:
                 records.append((label, "model", f"{metric}[{name}]", getattr(row, metric)))
         Path(args.report).write_text(metrics_lines(records), encoding="utf-8")
@@ -394,33 +378,31 @@ def _discover_datasets(data_dir: Path) -> list[tuple[str, list[Path]]]:
     into one dataset named ``X``; other data files stand alone."""
     found: dict[str, list[Path]] = {}
     for path in sorted(data_dir.iterdir()):
-        if not path.is_file():
-            continue
-        if path.suffix.lower() not in (".ts", ".csv"):
-            continue
-        stem = path.stem
-        if stem.endswith("_TRAIN") or stem.endswith("_TEST"):
-            found.setdefault(stem.rsplit("_", 1)[0], []).append(path)
-        else:
-            found.setdefault(stem, []).append(path)
+        if path.is_file() and path.suffix.lower() in (".ts", ".csv"):
+            stem = path.stem
+            name = stem.rsplit("_", 1)[0] if stem.endswith(("_TRAIN", "_TEST")) else stem
+            found.setdefault(name, []).append(path)
     return sorted(found.items())
 
 
-def _load_merged(paths: list[Path], fmt: str, class_column) -> TemporalDataset:
-    parts = [_load(str(p), fmt, class_column) for p in sorted(paths)]
-    base = parts[0]
-    if len(parts) == 1:
+def _load_merged(name: str, paths: list[Path], fmt: str, class_column) -> TemporalDataset:
+    """One dataset from the sorted files of ``name``; the classes of later
+    files join the first file's, by name, in order of first appearance."""
+    first, *rest = paths
+    base = _load(str(first), fmt, class_column)
+    if not rest:
         return base
     merged = list(base.instances)
-    label_index = {name: i for i, name in enumerate(base.class_names)}
-    for part in parts[1:]:
-        if part.attribute_count != base.attribute_count:
-            raise DataFormatError("cannot merge files with different channel counts")
-        if part.series_length != base.series_length:
-            raise DataFormatError("cannot merge files with different series lengths")
+    label_index = {label: i for i, label in enumerate(base.class_names)}
+    for path in rest:
+        part = _load(str(path), fmt, class_column)
+        for what, ours, theirs in (("channels", base.attribute_count, part.attribute_count),
+                                   ("points per series", base.series_length, part.series_length)):
+            if ours != theirs:
+                raise DataFormatError(f"{name}: cannot merge {first} with {path}: {ours} against {theirs} {what}")
         for inst in part.instances:
-            label_index.setdefault(part.class_names[inst.class_index], len(label_index))
-        merged += _relabel(part, label_index)
+            label = part.class_names[inst.class_index]
+            merged.append(Instance(inst.channels, label_index.setdefault(label, len(label_index))))
     return TemporalDataset(
         instances=merged,
         attribute_names=list(base.attribute_names),
@@ -438,7 +420,7 @@ def _cmd_bench(args) -> int:
     if not datasets:
         raise DataFormatError(f"no data files found under {data_dir}")
     loaded = (
-        (name, _load_merged(paths, args.format, args.class_column)) for name, paths in datasets
+        (name, _load_merged(name, paths, args.format, args.class_column)) for name, paths in datasets
     )
     return _race(loaded, plan, args)
 

@@ -117,6 +117,8 @@ def parse_semicolon_table(content: str, class_column: Union[str, int, None] = No
     case a column named ``C`` is used if present and the last column
     otherwise.  Rows are numbered from 1 at the header, skipping blank rows.
     """
+    # no cell is longer than the text; the limit is process-wide, so it is only raised
+    csv.field_size_limit(max(csv.field_size_limit(), len(content)))
     rows = (row for row in csv.reader(_lines(content)) if any(cell.strip() for cell in row))
     header = [cell.strip() for cell in next(rows, [])]
     if not header:
@@ -200,7 +202,10 @@ def load_dataset(
 ) -> TemporalDataset:
     """Read ``path`` as a ``"semicolon"`` table or a ``"uea"`` sequence file;
     ``class_column`` applies to the semicolon table only."""
-    content = Path(path).read_text(encoding="utf-8")
+    try:
+        content = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # not an OSError, so not otherwise a data error
+        raise DataFormatError(f"not UTF-8 text: {exc}") from None
     if fmt == "semicolon":
         return parse_semicolon_table(content, class_column)
     if fmt == "uea":

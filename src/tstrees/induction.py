@@ -529,9 +529,7 @@ def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionT
         counts[inst.class_index] += 1
     if info(counts) <= config.purity_threshold:
         return leaf_for_counts(counts)
-    if len(instances) < 2 * config.min_leaf_size:
-        return leaf_for_counts(counts)
-    cand = best_split(instances, config)
+    cand = best_split(instances, config)  # None, too, below twice the minimum leaf size
     if cand is None:
         return leaf_for_counts(counts)
     t1, t2 = split_dataset(instances, cand.decision)
@@ -545,6 +543,8 @@ def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionT
 def _check_differences(dataset: TemporalDataset, max_derivative: int) -> None:
     """Refuse data whose differences of a searched degree leave float64
     range, naming the first such channel: their thresholds would be inf."""
+    if max_derivative == 0:
+        return
     deriv = np.stack([inst.channels for inst in dataset.instances])
     for z in range(1, min(max_derivative, dataset.series_length - 1) + 1):
         with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
@@ -565,7 +565,7 @@ def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
     if not dataset.instances:
         raise ValueError("cannot grow a tree from an empty dataset")
     _check_differences(dataset, config.max_derivative)
-    instances = [inst.with_reference(ROOT_REFERENCE) for inst in dataset.instances]
+    instances = [Instance(inst.channels, inst.class_index) for inst in dataset.instances]
     return _grow(instances, dataset.class_count, config)
 
 

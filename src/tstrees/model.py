@@ -4,7 +4,9 @@ The file stores the tree, the attribute and class name tables, the series
 length, and the training configuration.  Dumps are canonical (sorted keys,
 fixed indentation), so loading a file and saving it again is byte-identical.
 Files of an unknown version refuse to load; version 1 files load and save
-back as the current version.
+back as the current version.  One walk reads the tree and checks it against
+the header; a part of the file that is missing, of the wrong type or out of
+range is a :class:`DataFormatError` naming the part.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .core import (
     LearnerConfig,
     Node,
     TemporalDecision,
-    iter_leaves,
-    iter_nodes,
 )
 
 MODEL_FORMAT = "tstrees-model"
@@ -34,6 +34,10 @@ MODEL_VERSION = 2
 # ``eq_tolerance``: the learner has none, since it never searches ``=``.  It
 # is written as 0.0 so that model files keep their layout.
 READABLE_VERSIONS = (1, MODEL_VERSION)
+
+# what reading a part of the wrong shape raises, up to a number past float64
+# or a tree nested past the interpreter's recursion limit
+_MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError)
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ def _decision_from_dict(obj: dict) -> TemporalDecision:
             alpha=float(obj["alpha"]),
             eq_tolerance=float(obj.get("eq_tolerance", 0.0)),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise DataFormatError(f"malformed decision in model file: {exc}") from exc
 
 
@@ -87,23 +91,34 @@ def _tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
-def _tree_from_dict(obj: dict) -> DecisionTree:
-    kind = obj.get("kind")
-    if kind == "leaf":
-        try:
-            return Leaf(
-                class_index=int(obj["class_index"]),
-                class_counts=tuple(int(c) for c in obj["class_counts"]),
-            )
-        except (ValueError, TypeError) as exc:
-            raise DataFormatError(f"malformed leaf in model file: {exc}") from exc
-    if kind == "node":
-        return Node(
-            decision=_decision_from_dict(obj["decision"]),
-            left=_tree_from_dict(obj["left"]),
-            right=_tree_from_dict(obj["right"]),
-        )
-    raise DataFormatError(f"malformed tree node of kind {kind!r} in model file")
+def _tree_from_dict(obj: dict, shape: tuple[int, int, int]) -> DecisionTree:
+    """Build a tree in one walk, refusing a decision that reads an attribute
+    or degree beyond the header's ``shape`` (attributes, points, classes) and
+    a leaf that counts another number of classes, which applying the tree
+    would find out only halfway."""
+    attributes, points, classes = shape
+    part = "tree node"
+    try:
+        kind = obj["kind"]
+        if kind == "node":
+            d = _decision_from_dict(obj["decision"])
+            if d.attribute_index >= attributes or d.derivative_degree >= points:
+                raise DataFormatError(
+                    f"model tree reads attribute {d.attribute_index} at degree {d.derivative_degree}, "
+                    f"but the model has {attributes} attributes of {points} points"
+                )
+            return Node(d, _tree_from_dict(obj["left"], shape), _tree_from_dict(obj["right"], shape))
+        if kind != "leaf":
+            raise DataFormatError(f"malformed tree node of kind {kind!r} in model file")
+        part = "leaf"
+        leaf = Leaf(int(obj["class_index"]), tuple(int(c) for c in obj["class_counts"]))
+    except DataFormatError:  # a ValueError, raised below this node or for it
+        raise
+    except _MALFORMED as exc:
+        raise DataFormatError(f"malformed {part} in model file: {exc}") from exc
+    if len(leaf.class_counts) != classes:
+        raise DataFormatError(f"model leaf has {len(leaf.class_counts)} class counts for {classes} classes")
+    return leaf
 
 
 def _config_to_dict(config: LearnerConfig) -> dict:
@@ -130,7 +145,7 @@ def _config_from_dict(obj: dict) -> LearnerConfig:
             purity_threshold=float(obj["purity_threshold"]),
             max_threshold_candidates=int(obj["max_threshold_candidates"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise DataFormatError(f"malformed config in model file: {exc}") from exc
 
 
@@ -152,6 +167,8 @@ def model_from_text(text: str) -> ModelBundle:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataFormatError(f"model file nests too deeply: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataFormatError("not a model file")
     version = payload.get("version")
@@ -160,30 +177,21 @@ def model_from_text(text: str) -> ModelBundle:
             f"model version {version!r} is not supported (expected {MODEL_VERSION})"
         )
     try:
-        bundle = ModelBundle(
-            tree=_tree_from_dict(payload["tree"]),
-            attribute_names=[str(s) for s in payload["attribute_names"]],
-            class_names=[str(s) for s in payload["class_names"]],
-            series_length=int(payload["series_length"]),
-            config=_config_from_dict(payload["config"]),
-        )
+        attribute_names = [str(s) for s in payload["attribute_names"]]
+        class_names = [str(s) for s in payload["class_names"]]
+        series_length = int(payload["series_length"])
+        tree, config = payload["tree"], payload["config"]
     except KeyError as exc:
         raise DataFormatError(f"model file is missing {exc}") from exc
-    _check_tree_fits(bundle)
-    return bundle
-
-
-def _check_tree_fits(bundle: ModelBundle) -> None:
-    """Refuse a tree that does not fit its own header, which applying it
-    would find out only halfway."""
-    attributes, points, classes = len(bundle.attribute_names), bundle.series_length, len(bundle.class_names)
-    for d in (node.decision for node in iter_nodes(bundle.tree)):
-        if d.attribute_index >= attributes or d.derivative_degree >= points:
-            raise DataFormatError(f"model tree reads attribute {d.attribute_index} at degree {d.derivative_degree}, "
-                                  f"but the model has {attributes} attributes of {points} points")
-    for leaf in iter_leaves(bundle.tree):
-        if len(leaf.class_counts) != classes:
-            raise DataFormatError(f"model leaf has {len(leaf.class_counts)} class counts for {classes} classes")
+    except _MALFORMED as exc:
+        raise DataFormatError(f"malformed header in model file: {exc}") from exc
+    return ModelBundle(
+        tree=_tree_from_dict(tree, (len(attribute_names), series_length, len(class_names))),
+        attribute_names=attribute_names,
+        class_names=class_names,
+        series_length=series_length,
+        config=_config_from_dict(config),
+    )
 
 
 def save_model(path: Union[str, Path], bundle: ModelBundle) -> None:
@@ -191,4 +199,8 @@ def save_model(path: Union[str, Path], bundle: ModelBundle) -> None:
 
 
 def load_model(path: Union[str, Path]) -> ModelBundle:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # not an OSError, so not otherwise a data error
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    return model_from_text(text)

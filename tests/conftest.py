@@ -44,6 +44,13 @@ def random_dataset(
     )
 
 
+def long_dataset(points: int = 7000, m: int = 10) -> TemporalDataset:
+    """m series of one channel of ``points`` Gaussian values, two classes."""
+    rng = np.random.default_rng(0)
+    return TemporalDataset([Instance(rng.normal(size=(1, points)), i % 2) for i in range(m)],
+                           ["var0"], ["a", "b"], points)
+
+
 def random_decision(rng: np.random.Generator, dataset: TemporalDataset, max_z: int = 1):
     from tstrees.core import TemporalDecision
 

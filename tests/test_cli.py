@@ -1,10 +1,13 @@
 import json
 import signal
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tstrees import cli
 from tstrees.cli import build_parser, main
 from tstrees.core import (
     Comparator,
@@ -21,6 +24,7 @@ from tstrees.induction import classify, confusion, grow_tree
 from tstrees.model import (
     MODEL_VERSION,
     ModelBundle,
+    _tree_from_dict,
     load_model,
     model_from_text,
     model_to_text,
@@ -28,7 +32,7 @@ from tstrees.model import (
 )
 from tstrees.core import DataFormatError
 
-from conftest import random_dataset
+from conftest import long_dataset, random_dataset
 
 import fixture_tree
 
@@ -242,6 +246,126 @@ def test_predict_refuses_a_model_whose_tree_does_not_fit_its_header_exits_2(tmp_
     assert out == "" and err.startswith("data error: ") and message in err, err
     with pytest.raises(DataFormatError):
         model_from_text(model_path.read_text(encoding="utf-8"))
+
+
+_SMALL_MODEL = model_to_text(ModelBundle(
+    Node(
+        TemporalDecision(Rel.L, 1, 1, Comparator.GT, 0.5, 0.6),
+        Leaf(0, (3, 1)),
+        Node(TemporalDecision(Rel.EQ, 0, 0, Comparator.LE, -2.0, 1.0), Leaf(1, (0, 4)), Leaf(0, (2, 0))),
+    ),
+    ["a", "b"], ["x", "y"], 5, LearnerConfig(alpha_grid=(0.6, 1.0), max_derivative=1),
+))
+
+
+def _paths(obj, prefix=()):
+    """The key path of every value and subtree below a parsed JSON value."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutated(text, path, value):
+    """``text`` with the value at ``path`` dropped (``_DROP``) or replaced."""
+    payload = json.loads(text)
+    parent = _at(payload, path[:-1])
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_DROP = object()
+_PATHS = list(_paths(json.loads(_SMALL_MODEL)))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# the four shapes that once escaped as internal errors
+_CRASH_SHAPES = [(("tree",), []), (("tree", "left"), 5), (("series_length",), "abc"), (("attribute_names",), 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_PATHS),
+    st.just(_DROP) | _JSON | st.sampled_from([_at(json.loads(_SMALL_MODEL), p) for p in _PATHS]),
+)
+@example(*_CRASH_SHAPES[0])
+@example(*_CRASH_SHAPES[1])
+@example(*_CRASH_SHAPES[2])
+@example(*_CRASH_SHAPES[3])
+@example(("series_length",), float("inf"))  # json writes Infinity, and int() of it overflows
+@example(("tree", "decision", "threshold"), 10**400)  # past float64
+def test_a_mutated_model_file_loads_or_is_a_data_error_property(path, value):
+    """A valid model text with one key dropped, or one value or subtree
+    replaced by a random JSON value or by another part of the file, either
+    loads as a bundle that saves and loads back to the same text, or is
+    refused as a DataFormatError; no other exception escapes."""
+    try:
+        bundle = model_from_text(_mutated(_SMALL_MODEL, path, value))
+    except DataFormatError:
+        return
+    text = model_to_text(bundle)
+    assert model_to_text(model_from_text(text)) == text
+
+
+@pytest.mark.parametrize("path, value, message", [
+    *((path, value, "malformed tree node in model file: ") for path, value in _CRASH_SHAPES[:2]),
+    *((path, value, "malformed header in model file: ") for path, value in _CRASH_SHAPES[2:]),
+    (("tree", "decision", "relation"), "XX", "malformed decision in model file: 'XX'"),
+    (("tree", "right", "kind"), "twig", "malformed tree node of kind 'twig' in model file"),
+    (("tree", "left", "class_counts"), "3", "model leaf has 1 class counts for 2 classes"),
+    (("config", "alpha_grid"), 0.5, "malformed config in model file: "),
+    (("config",), _DROP, "model file is missing 'config'"),
+    (("version",), 3, "model version 3 is not supported"),
+])
+def test_predict_refuses_a_malformed_model_file_exits_2(tmp_path, capsys, path, value, message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(_mutated(_SMALL_MODEL, path, value), encoding="utf-8")
+    data = write_dataset(tmp_path, TemporalDataset([Instance(np.zeros((2, 5)), 0)], ["a", "b"], ["x"], 5))
+    assert main(["predict", "--model", str(model_path), "--data", str(data)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"data error: {message}"), err
+
+
+def test_a_model_nested_past_the_recursion_limit_is_a_data_error():
+    """A tree nested past the interpreter's recursion limit is a data error,
+    whether the JSON parser or the tree walk runs out of frames first (the
+    walk can, where the parser counts its C frames apart, as from 3.12)."""
+    payload = json.loads(_SMALL_MODEL)
+    leaf, depth = payload["tree"]["left"], 5 * sys.getrecursionlimit()
+    deep = leaf
+    for _ in range(depth):
+        deep = dict(payload["tree"], left=deep)
+    with pytest.raises(DataFormatError, match="^malformed [a-z ]+ in model file: maximum recursion depth"):
+        _tree_from_dict(deep, (2, 5, 2))
+    node, leaf = json.dumps(payload["tree"]).partition('"left": ')[0] + '"left": ', json.dumps(leaf)
+    payload["tree"] = "TREE"
+    text = json.dumps(payload).replace('"TREE"', node * depth + leaf + f', "right": {leaf}}}' * depth)
+    with pytest.raises(DataFormatError, match="^model file nests too deeply|^malformed tree node"):
+        model_from_text(text)
+
+
+def test_files_that_are_not_utf8_exit_2_naming_the_file(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(_SMALL_MODEL.replace('"x"', '"caf\u00e9"').encode("latin-1"))
+    data = tmp_path / "latin1.csv"
+    data.write_bytes("A,C\n1;2;3,caf\u00e9\n4;5;6,b\n".encode("latin-1"))
+    good = write_dataset(tmp_path, TemporalDataset([Instance(np.zeros((2, 5)), 0)], ["a", "b"], ["x"], 5))
+    for command, path in ((["predict", "--model", str(model_path), "--data", str(good)], model_path),
+                          (["train", "--data", str(data)], data)):
+        assert main(command) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"data error: {path}: not UTF-8 text: "), err
 
 
 def test_non_finite_purity_is_a_usage_error_and_a_malformed_model(tmp_path, capsys):
@@ -740,3 +864,108 @@ def test_predict_and_evaluate_refuse_lower_degree_differences_out_of_float64_ran
         assert out == "" and err == (
             "data error: attribute 0: degree-1 differences out of float64 range\n"
         )
+
+
+def _write_ts(path, rows):
+    """A UEA file of (channels, label) cases."""
+    path.write_text(
+        "".join(":".join(",".join(map(repr, ch)) for ch in channels) + f":{label}\n"
+                for channels, label in rows),
+        encoding="utf-8",
+    )
+
+
+def _ts_rows(labels, channels=1, length=5):
+    return [([[9.0 * "abc".index(label) + i + k for k in range(length)]] * channels, label)
+            for i, label in enumerate(labels)]
+
+
+def test_bench_merges_a_train_and_test_pair_into_one_dataset(tmp_path, capsys):
+    # class c appears only in the TEST file, which sorts first, and class b
+    # only in the TRAIN file, which joins the merged class list after it
+    _write_ts(tmp_path / "X_TRAIN.ts", _ts_rows("abababab"))
+    _write_ts(tmp_path / "X_TEST.ts", _ts_rows("cacaca"))
+    paths = [tmp_path / "X_TEST.ts", tmp_path / "X_TRAIN.ts"]
+    assert cli._discover_datasets(tmp_path) == [("X", paths)]
+    merged = cli._load_merged("X", paths, "auto", None)
+    assert merged.class_names == ["c", "a", "b"]
+    assert [merged.class_names[inst.class_index] for inst in merged.instances] == list("cacacaabababab")
+    assert [inst.channels[0, 0] for inst in merged.instances][6:8] == [0.0, 10.0]
+    report = tmp_path / "grid.tsv"
+    assert main(["bench", "--data-dir", str(tmp_path), "--methods", "ed-i", "--report", str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["method", "X"]
+    assert report.read_text(encoding="utf-8").startswith("X\ted-i\taccuracy\t")
+
+
+@pytest.mark.parametrize("channels, length, what", [(2, 5, "1 against 2 channels"),
+                                                    (1, 6, "5 against 6 points per series")])
+def test_bench_refuses_a_pair_of_other_shapes_exits_2(tmp_path, capsys, channels, length, what):
+    _write_ts(tmp_path / "X_TRAIN.ts", _ts_rows("abababab", channels, length))
+    _write_ts(tmp_path / "X_TEST.ts", _ts_rows("abab"))
+    assert main(["bench", "--data-dir", str(tmp_path), "--methods", "ed-i"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"data error: X: cannot merge {tmp_path / 'X_TEST.ts'} with {tmp_path / 'X_TRAIN.ts'}: {what}\n"
+    )
+
+
+def test_class_column_given_as_an_index(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("p,q,K,r\n" + "".join(
+        f"{9.0 * (i % 2) + 0.01 * i};1;2,1;2;3,{('Lo', 'Hi')[i % 2]},4;5;6\n" for i in range(8)
+    ), encoding="utf-8")
+    printed = []
+    for column in ("2", "K"):
+        assert main(["train", "--data", str(data), "--min-leaf", "1", "--class-column", column]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert printed[0].splitlines() == ["<A> p <= 1.5: Lo (4.0)", "[A] p > 1.5: Hi (4.0)"]
+
+
+def test_train_on_a_malformed_data_file_names_it_exits_2(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("A,C\n1;x;3,a\n", encoding="utf-8")
+    assert main(["train", "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"data error: {data}: non-numeric value 'x' at row 2, column 'A'\n"
+
+
+def test_evaluate_refuses_a_class_the_model_lacks_exits_2(tmp_path, capsys):
+    ds = separable_dataset()
+    data = write_dataset(tmp_path, ds)
+    model_path = tmp_path / "model.json"
+    assert main(["train", "--data", str(data), "--min-leaf", "1", "--out", str(model_path)]) == 0
+    other = TemporalDataset(ds.instances, ds.attribute_names, ["Lo", "Mid"], ds.series_length)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model_path), "--data", str(write_dataset(tmp_path, other, "mid.csv"))]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "data error: data contains classes unknown to the model: ['Mid']\n"
+
+
+def test_compare_and_bench_refuse_no_methods_or_no_data_files(tmp_path, capsys):
+    data = str(write_dataset(tmp_path, separable_dataset()))
+    assert main(["compare", "--data", data, "--methods", ","]) == 1
+    assert capsys.readouterr().err == "usage error: no methods given\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for folder, message in ((tmp_path / "nowhere", "no such directory:"), (empty, "no data files found under")):
+        assert main(["bench", "--data-dir", str(folder)]) == 2
+        assert capsys.readouterr().err == f"data error: {message} {folder}\n"
+
+
+def test_help_exits_0_and_an_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    assert main(["--help"]) == 0
+    assert "train" in capsys.readouterr().out
+
+    def broken(dataset, config):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setattr(cli, "grow_tree", broken)
+    assert main(["train", "--data", str(write_dataset(tmp_path, separable_dataset()))]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("Traceback") and err.endswith("RuntimeError: broken invariant\n")
+
+
+def test_compare_trims_a_table_of_cells_past_the_csv_default_field_limit(tmp_path, capsys):
+    data = write_dataset(tmp_path, long_dataset())
+    assert main(["compare", "--data", str(data), "--max-len", "150", "--methods", "ed-i,tj48"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["method", "data"]

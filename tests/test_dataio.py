@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -15,7 +16,7 @@ from tstrees.dataio import (
     trim,
 )
 
-from conftest import random_dataset
+from conftest import long_dataset, random_dataset
 
 
 SIMPLE_TABLE = "A1,C\n1;2;3,C1\n4;5;6,C2\n"
@@ -88,6 +89,22 @@ def test_semicolon_round_trip(rng):
     for a, b in zip(raw.instances, ds.instances):
         assert np.array_equal(a.channels, b.channels)
         assert raw.class_names[a.class_index] == ds.class_names[b.class_index]
+
+
+def test_semicolon_round_trip_of_cells_past_the_csv_default_field_limit():
+    # 7,000 points print as cells of about 137,000 characters, past the csv
+    # module's default field limit of 131,072, which the parse must raise
+    ds = long_dataset()
+    text = serialize_semicolon_table(ds)
+    assert min(len(row.split(",")[0]) for row in text.splitlines()[1:]) > 131_072
+    before = csv.field_size_limit(131_072)
+    try:
+        back = parse_semicolon_table(text)
+    finally:
+        csv.field_size_limit(max(before, csv.field_size_limit()))
+    assert back.class_names == ds.class_names and back.series_length == 7000
+    for a, b in zip(ds.instances, back.instances):
+        assert np.array_equal(a.channels, b.channels) and a.class_index == b.class_index
 
 
 _EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)

@@ -559,9 +559,14 @@ def test_batch_ranks_equal_a_search_of_the_thresholds_property(batch):
 @example((_SHUFFLED[None], _POOL, 0, 127, [0.55, 1.0]))  # 127 thresholds: int8
 @example((_SHUFFLED[None], _POOL, 0, 128, [0.55, 1.0]))  # 128 thresholds: int16
 @example((np.repeat([[0.5], [1.5], [-2.0]], 2, axis=1)[None], [Interval(0, 1)] * 3, 0, 100, [1.0]))  # j48's static path
-# two attributes with 127 and 4 thresholds, and empty windows at degree 2
+# two attributes with 2 and 8 thresholds, and empty windows at degree 2
 @example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), _POOL, 2, 127, [0.55, 1.0]))
-@example((_SHUFFLED[None], [Interval(3, 17)] * 4, 1, 300, [0.33, 1.0]))  # 155 thresholds: int16
+# two attributes with 127 (thinned from 151) and 4 thresholds at degree 2
+@example((np.stack([np.random.default_rng(3).normal(size=(4, 40)),
+                    np.cumsum(np.cumsum(_SHUFFLED % 5, axis=1), axis=1)]), _POOL, 2, 127, [0.55, 1.0]))
+# 1 threshold: _SHUFFLED's first differences take two values
+@example((_SHUFFLED[None], [Interval(3, 17)] * 4, 1, 300, [0.33, 1.0]))
+@example((np.random.default_rng(3).normal(size=(1, 4, 40)), [Interval(3, 17)] * 4, 1, 300, [0.33, 1.0]))  # 155 thresholds: int16
 # from [N - 1, N] at degree 3, the one-point windows of Li start at points 1 and N - 3
 @example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), [Interval(39, 40)] * 4, 3, 300, [0.33, 1.0]))
 def test_streamed_critical_ranks_equal_the_definition_property(node):
