@@ -473,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--min-leaf", type=int, default=2)
     p_train.add_argument("--purity", type=float, default=0.0,
                          help="entropy at or below which a node becomes a leaf")
-    p_train.add_argument("--seed", type=int, default=0,
-                         help="accepted and ignored: the learner is deterministic")
     p_train.add_argument("--out", default=None, help="write the model file here")
     p_train.add_argument("--theory-class", default=None,
                          help="also print one flat formula per path to this class: a term below a "

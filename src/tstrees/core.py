@@ -1,8 +1,10 @@
 """Shared domain model: datasets, intervals, decisions, trees, confusion matrices.
 
-Everything here is a plain value object.  All types are immutable except
-``Instance``, whose ``reference`` interval is bookkeeping that the learner
-updates on its own single-owner copies; instances handed to the library are
+Everything here is a plain value object.  ``Instance`` and
+``TemporalDataset`` are not frozen, but nothing assigns to an ``Instance``
+after ``__post_init__``: an instance moves onto a new reference interval as
+a fresh copy (:func:`tstrees.intervals.split_dataset` hands back copies
+that share the channel matrix), and instances handed to the library are
 never mutated in place.
 """
 

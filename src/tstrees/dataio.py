@@ -264,19 +264,12 @@ def resample_split(
 
     quotas = [train_fraction * len(members) for members in by_class]
     take = [math.floor(qt) for qt in quotas]
-    remainder_order = sorted(
-        range(len(by_class)), key=lambda c: (-(quotas[c] - take[c]), c)
-    )
-    i = 0
-    while sum(take) < target and i < len(remainder_order):
-        c = remainder_order[i]
-        if take[c] < len(by_class[c]):
-            take[c] += 1
-        i += 1
-    # pathological rounding: top up from any class with spare members
-    for c in range(len(by_class)):
-        while sum(take) < target and take[c] < len(by_class[c]):
-            take[c] += 1
+    # the first target - sum(take) classes in remainder order take one more:
+    # for 0 < f < 1 that is at most the number of classes with a remainder,
+    # and each of them has a member to spare after its floor
+    order = sorted(range(len(by_class)), key=lambda c: (-(quotas[c] - take[c]), c))
+    for c in order[: target - sum(take)]:
+        take[c] += 1
 
     train_idx: list[int] = []
     test_idx: list[int] = []

@@ -25,9 +25,9 @@ one point, start-major so that each step is one contiguous run per position
 or max (for ``>``) of the order statistics of its successors' windows.
 
 One streamed path serves every node (:func:`_streamed_critical_ranks`).
-Once per node, each relation's successor rectangle
-(:func:`tstrees.intervals.relation_rectangle`) is taken at every distinct
-reference, and a relation without successors is dropped.  The p-point
+Once per node, each relation's successor rectangle is taken at every
+distinct reference (:func:`tstrees.intervals.relation_boxes`), and a
+relation without successors is dropped.  The p-point
 windows of a rectangle's successors start at one run of points, in closed
 form (:func:`_window_runs`), so the critical values are folded in while the
 windows of each size are held, and no table of every window is built.  On
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +81,8 @@ from .core import (
     leaf_for_counts,
 )
 from .intervals import (
-    relation_rectangle,
+    point_spans,
+    relation_boxes,
     required_counts,
     split_dataset,
 )
@@ -218,45 +219,35 @@ def _sorted_windows(ranks: np.ndarray):
         yield size, window
 
 
-def _successor_boxes(relations: Sequence[IntervalRelation], x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """The (4, R, D) :func:`relation_rectangle` bounds (r1, r2, c1, c2) of
-    the successors of the D references [x, y] under each of R ``relations``.
-    A reference has successors iff r1 <= r2 and c1 <= c2, and then the
-    rectangle lies in the grid with r1 < c1 and r2 < c2, so that every start
-    u and every end v in it belongs to a successor [u, v], u < v."""
-    box = np.empty((4, len(relations), x.size), dtype=np.intp)
-    for r, rel in enumerate(relations):
-        for bound, value in zip(box[:, r], relation_rectangle(rel, x, y, n)):
-            bound[...] = value
-    return box
-
-
 def _window_runs(box: np.ndarray, points: int, size) -> tuple[np.ndarray, np.ndarray]:
     """The starts of the ``size``-point windows of successors, in closed
-    form: for the (4, R, D) :func:`_successor_boxes` of R relations and D
-    references at degree z (``points`` = N_z = n - z data-bearing points),
-    the (R, D) arrays (first, stop) such that ``window[j, first:stop]`` of
-    :func:`_sorted_windows` are the windows of the successors, empty when
-    first >= stop.  ``size`` may be an array that broadcasts against them.
+    form: for the (4, R, D) :func:`tstrees.intervals.relation_boxes` of R
+    relations and D references at degree z (``points`` = N_z = n - z
+    data-bearing points), the (R, D) arrays (first, stop) such that
+    ``window[j, first:stop]`` of :func:`_sorted_windows` are the windows of
+    the successors, empty when first >= stop.  ``size`` may be an array that
+    broadcasts against them.
 
-    An interval [u, v] covers the points max(u, 1) .. min(v, N_z)
-    (:func:`point_spans`), both ends monotone, so over a rectangle the
-    windows start at max(r1, 1) .. max(r2, 1) and end at min(c1, N_z) ..
-    min(c2, N_z), any start with any end.  A window of p >= 2 points that
-    starts at s ends at s + p - 1 > s, which every u <= s < v meets, so its
-    starts are one run.  A one-point window [s, s] needs u < v too, which
+    An interval [u, v] covers the points lo(u) .. hi(v) of
+    :func:`tstrees.intervals.point_spans`, both ends monotone, so over a
+    rectangle the windows start at lo(r1) .. lo(r2) and end at hi(c1) ..
+    hi(c2), any start with any end (lo's clip at N_z + 1 moves only a start
+    r1 > N_z, whose run is empty either way).  A window of p >= 2 points
+    that starts at s ends at s + p - 1 > s, which every u <= s < v meets, so
+    its starts are one run.  A one-point window [s, s] needs u < v too, which
     leaves s = 1 (u = 0, v = 1) and s = N_z (u = N_z < v): at size 1, only
     the starts 0 and N_z - 1 of the run are windows of successors."""
     r1, r2, c1, c2 = box
-    first = np.maximum(np.maximum(r1, 1), np.minimum(c1, points) - size + 1) - 1
-    stop = np.minimum(np.maximum(r2, 1), np.minimum(c2, points) - size + 1)
+    (lo1, hi1), (lo2, hi2) = point_spans(r1, c1, points, 0), point_spans(r2, c2, points, 0)
+    first = np.maximum(lo1, hi1 - size + 1) - 1
+    stop = np.minimum(lo2, hi2 - size + 1)
     return first, np.where((r1 <= r2) & (c1 <= c2), stop, first)
 
 
 def _window_reads(box: np.ndarray, points: int) -> list:
     """How :func:`_streamed_critical_ranks` reads the p-point windows (entry
     p - 1, up to the longest window of a successor) of the (4, R, D)
-    :func:`_successor_boxes` at ``points`` = N_z, from their
+    :func:`tstrees.intervals.relation_boxes` at ``points`` = N_z, from their
     :func:`_window_runs`.  On one reference (D = 1): pairs (starts, rels) of
     a slice of starts, or at size 1 a list of the starts 0 and N_z - 1 that
     the run holds, and the relations that read them (``A`` and ``Bi`` share
@@ -270,7 +261,8 @@ def _window_reads(box: np.ndarray, points: int) -> list:
     (floor(log2 N_z) + 1), past the largest table."""
     r1, r2, c1, c2 = box
     # the longest window of a successor is that of [r1, c2]
-    last = max(0, int((np.minimum(c2, points) - np.maximum(r1, 1) + 1)[(r1 <= r2) & (c1 <= c2)].max()))
+    span_lo, span_hi = point_spans(r1, c2, points, 0)
+    last = max(0, int((span_hi - span_lo + 1)[(r1 <= r2) & (c1 <= c2)].max()))
     sizes = np.arange(1, last + 1)
     first, stop = _window_runs(box, points, sizes[:, None, None])
     if box.shape[2] == 1:
@@ -402,13 +394,27 @@ def _split_scorer(parent_counts: np.ndarray, low: int):
     return score
 
 
+def _difference(deriv: np.ndarray, z: int, name: Callable[[int], str]) -> np.ndarray:
+    """The next forward difference, of degree ``z``, of the (m, attributes,
+    points) ``deriv``; the first attribute whose differences leave float64
+    range is a :class:`DataFormatError`, ``name(a)`` naming attribute a."""
+    with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
+        deriv = np.diff(deriv, axis=2)
+    finite = np.isfinite(deriv).all(axis=(0, 2))
+    if not finite.all():
+        raise DataFormatError(f"{name(int(finite.argmin()))}: degree-{z} differences out of float64 range")
+    return deriv
+
+
 def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional[SplitCandidate]:
     """The admissible candidate of minimal weighted child entropy, or None
     when no candidate both respects ``min_leaf_size`` on each side and has
     strictly positive gain.
 
     Ties are broken canonically by (attribute index, relation order,
-    comparator order, threshold, alpha, derivative degree).
+    comparator order, threshold, alpha, derivative degree).  Differences of
+    a searched degree past float64 range are a :class:`DataFormatError`, as
+    they are for the router.
     """
     m = len(instances)
     low, high = config.min_leaf_size, m - config.min_leaf_size
@@ -423,7 +429,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     distinct, back = np.unique(refs, return_inverse=True)
     ref_x, ref_y = np.divmod(distinct, n + 1)
     relations = sorted(config.relations, key=lambda r: r.rank)
-    box = _successor_boxes(relations, ref_x, ref_y, n)
+    box = relation_boxes(relations, ref_x, ref_y, n)
     held = ((box[0] <= box[1]) & (box[2] <= box[3])).any(axis=1)
     if not held.any():
         return None
@@ -445,7 +451,7 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     top = min(config.max_derivative, n - 1)
     for z in range(top + 1):
         if z:
-            deriv = np.diff(deriv, axis=2)
+            deriv = _difference(deriv, z, "attribute {}".format)
         searched = []  # (attribute, thresholds) of the attributes with thresholds
         for attr in range(deriv.shape[1]):
             thresholds = candidate_thresholds(deriv[:, attr].ravel(), config.max_threshold_candidates)
@@ -547,12 +553,7 @@ def _check_differences(dataset: TemporalDataset, max_derivative: int) -> None:
         return
     deriv = np.stack([inst.channels for inst in dataset.instances])
     for z in range(1, min(max_derivative, dataset.series_length - 1) + 1):
-        with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
-            deriv = np.diff(deriv, axis=2)
-        finite = np.isfinite(deriv).all(axis=(0, 2))
-        if not finite.all():
-            channel = dataset.attribute_names[int(finite.argmin())]
-            raise DataFormatError(f"channel {channel!r}: degree-{z} differences out of float64 range")
+        deriv = _difference(deriv, z, lambda a: f"channel {dataset.attribute_names[a]!r}")
 
 
 def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:

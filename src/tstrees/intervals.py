@@ -7,14 +7,15 @@ interval is evaluated on its data-bearing points clipped to that range, and
 fails a decision outright when the clipped point set is empty.
 
 The successor set of every relation is one rectangle of the (start, end)
-grid (:func:`relation_rectangle`); :func:`successors` lists its cells,
-and decision checking and routing here and split search in
-:mod:`tstrees.induction` all read it.  :func:`allen_related` is the direct
-definition the tests compare it against.  One router reads it to decide a
-decision and pick its witness, by a linear rule on interval ends, in O(N)
-memory per instance: :func:`split_dataset` is its batch call, as a tree is
-grown and applied, :func:`check_decision` its one-instance call and
-:func:`holds_on` its eq call on one interval.
+grid (:func:`relation_rectangle`, stacked by :func:`relation_boxes`);
+:func:`successors` lists its cells, and decision checking and routing here
+and split search in :mod:`tstrees.induction` all read it.
+:func:`allen_related` is the direct definition the tests compare it
+against.  One router reads it to decide a decision and pick its witness, by
+a linear rule on interval ends, in O(N) memory per instance:
+:func:`split_dataset` is its batch call, as a tree is grown and applied,
+:func:`check_decision` its one-instance call and :func:`holds_on` its eq
+call on one interval.
 """
 
 from __future__ import annotations
@@ -121,6 +122,21 @@ def relation_rectangle(
     if relation is Rel.OI:
         return 0, x - 1, x + 1, y - 1
     raise ValueError(f"unknown relation {relation!r}")
+
+
+def relation_boxes(
+    relations: Sequence[IntervalRelation], x: np.ndarray, y: np.ndarray, n: int
+) -> np.ndarray:
+    """The (4, R, D) :func:`relation_rectangle` bounds (r1, r2, c1, c2) of
+    the successors of the D references [x, y] under each of R ``relations``.
+    A reference has successors iff r1 <= r2 and c1 <= c2, and then the
+    rectangle lies in the grid with r1 < c1 and r2 < c2, so that every start
+    u and every end v in it belongs to a successor [u, v], u < v."""
+    box = np.empty((4, len(relations), x.size), dtype=np.intp)
+    for r, rel in enumerate(relations):
+        for bound, value in zip(box[:, r], relation_rectangle(rel, x, y, n)):
+            bound[...] = value
+    return box
 
 
 def derivative(channel: Sequence[float] | np.ndarray, z: int) -> np.ndarray:
@@ -260,8 +276,7 @@ def _route(
     if x.count(x[0]) == m and y.count(y[0]) == m:
         r1, r2, c1, c2 = relation_rectangle(decision.relation, x[0], y[0], n)
     else:  # rows r1, r2, c1, c2: each instance's successor rectangle
-        rect = np.array(np.broadcast_arrays(
-            *relation_rectangle(decision.relation, np.array(x), np.array(y), n)))[..., None]
+        rect = relation_boxes([decision.relation], np.array(x), np.array(y), n)[:, 0, :, None]
         (r1, c1), (r2, c2) = rect[0::2].min(1).ravel().tolist(), rect[1::2].max(1).ravel().tolist()
     # the box: every row has a data-bearing point and a column right of it
     v1 = min(c2, n)

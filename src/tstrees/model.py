@@ -5,8 +5,9 @@ length, and the training configuration.  Dumps are canonical (sorted keys,
 fixed indentation), so loading a file and saving it again is byte-identical.
 Files of an unknown version refuse to load; version 1 files load and save
 back as the current version.  One walk reads the tree and checks it against
-the header; a part of the file that is missing, of the wrong type or out of
-range is a :class:`DataFormatError` naming the part.
+the header; a part of the file that is missing, of another JSON type (no
+value is coerced) or out of range is a :class:`DataFormatError` naming the
+part.
 """
 
 from __future__ import annotations
@@ -39,6 +40,24 @@ READABLE_VERSIONS = (1, MODEL_VERSION)
 # or a tree nested past the interpreter's recursion limit
 _MALFORMED = (KeyError, ValueError, TypeError, AttributeError, OverflowError, RecursionError)
 
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value`` if its JSON type is ``kind``, a number (``float``) returned
+    as a float.  Nothing is coerced: ``true``, ``3.0`` and ``"3"`` are no
+    integer, and ``true`` and ``"0.5"`` no number."""
+    if type(value) is kind or (kind is float and type(value) is int):
+        return float(value) if kind is float else value
+    raise TypeError(f"{name} must be a JSON {_JSON_TYPES[kind]}, not {type(value).__name__}")
+
+
+def _typed_list(value, kind: type, name: str) -> list:
+    """``value`` if it is a JSON array of ``kind`` (see :func:`_typed`)."""
+    if type(value) is not list:
+        raise TypeError(f"{name} must be a JSON array, not {type(value).__name__}")
+    return [_typed(item, kind, name) for item in value]
+
 
 @dataclass(frozen=True)
 class ModelBundle:
@@ -65,12 +84,12 @@ def _decision_from_dict(obj: dict) -> TemporalDecision:
     try:
         return TemporalDecision(
             relation=IntervalRelation[obj["relation"]],
-            attribute_index=int(obj["attribute_index"]),
-            derivative_degree=int(obj["derivative_degree"]),
+            attribute_index=_typed(obj["attribute_index"], int, "attribute_index"),
+            derivative_degree=_typed(obj["derivative_degree"], int, "derivative_degree"),
             comparator=Comparator[obj["comparator"]],
-            threshold=float(obj["threshold"]),
-            alpha=float(obj["alpha"]),
-            eq_tolerance=float(obj.get("eq_tolerance", 0.0)),
+            threshold=_typed(obj["threshold"], float, "threshold"),
+            alpha=_typed(obj["alpha"], float, "alpha"),
+            eq_tolerance=_typed(obj.get("eq_tolerance", 0.0), float, "eq_tolerance"),
         )
     except _MALFORMED as exc:
         raise DataFormatError(f"malformed decision in model file: {exc}") from exc
@@ -111,14 +130,14 @@ def _tree_from_dict(obj: dict, shape: tuple[int, int, int]) -> DecisionTree:
         if kind != "leaf":
             raise DataFormatError(f"malformed tree node of kind {kind!r} in model file")
         part = "leaf"
-        leaf = Leaf(int(obj["class_index"]), tuple(int(c) for c in obj["class_counts"]))
+        counts = obj["class_counts"]
+        if len(counts) != classes:
+            raise DataFormatError(f"model leaf has {len(counts)} class counts for {classes} classes")
+        return Leaf(_typed(obj["class_index"], int, "class_index"), tuple(_typed_list(counts, int, "class_counts")))
     except DataFormatError:  # a ValueError, raised below this node or for it
         raise
     except _MALFORMED as exc:
         raise DataFormatError(f"malformed {part} in model file: {exc}") from exc
-    if len(leaf.class_counts) != classes:
-        raise DataFormatError(f"model leaf has {len(leaf.class_counts)} class counts for {classes} classes")
-    return leaf
 
 
 def _config_to_dict(config: LearnerConfig) -> dict:
@@ -137,13 +156,13 @@ def _config_to_dict(config: LearnerConfig) -> dict:
 def _config_from_dict(obj: dict) -> LearnerConfig:
     try:
         return LearnerConfig(
-            alpha_grid=tuple(float(a) for a in obj["alpha_grid"]),
-            max_derivative=int(obj["max_derivative"]),
-            relations=tuple(IntervalRelation[r] for r in obj["relations"]),
-            comparators=tuple(Comparator[c] for c in obj["comparators"]),
-            min_leaf_size=int(obj["min_leaf_size"]),
-            purity_threshold=float(obj["purity_threshold"]),
-            max_threshold_candidates=int(obj["max_threshold_candidates"]),
+            alpha_grid=tuple(_typed_list(obj["alpha_grid"], float, "alpha_grid")),
+            max_derivative=_typed(obj["max_derivative"], int, "max_derivative"),
+            relations=tuple(IntervalRelation[r] for r in _typed_list(obj["relations"], str, "relations")),
+            comparators=tuple(Comparator[c] for c in _typed_list(obj["comparators"], str, "comparators")),
+            min_leaf_size=_typed(obj["min_leaf_size"], int, "min_leaf_size"),
+            purity_threshold=_typed(obj["purity_threshold"], float, "purity_threshold"),
+            max_threshold_candidates=_typed(obj["max_threshold_candidates"], int, "max_threshold_candidates"),
         )
     except _MALFORMED as exc:
         raise DataFormatError(f"malformed config in model file: {exc}") from exc
@@ -172,14 +191,14 @@ def model_from_text(text: str) -> ModelBundle:
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise DataFormatError("not a model file")
     version = payload.get("version")
-    if version not in READABLE_VERSIONS:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise DataFormatError(
             f"model version {version!r} is not supported (expected {MODEL_VERSION})"
         )
     try:
-        attribute_names = [str(s) for s in payload["attribute_names"]]
-        class_names = [str(s) for s in payload["class_names"]]
-        series_length = int(payload["series_length"])
+        attribute_names = _typed_list(payload["attribute_names"], str, "attribute_names")
+        class_names = _typed_list(payload["class_names"], str, "class_names")
+        series_length = _typed(payload["series_length"], int, "series_length")
         tree, config = payload["tree"], payload["config"]
     except KeyError as exc:
         raise DataFormatError(f"model file is missing {exc}") from exc

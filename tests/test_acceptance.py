@@ -426,7 +426,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
 
     model_a, model_b = tmp_path / "a.json", tmp_path / "b.json"
     train_args = ["train", "--data", str(data), "--alpha", "0.5:1.0:0.25",
-                  "--min-leaf", "1", "--seed", "9"]
+                  "--min-leaf", "1"]
     assert main(train_args + ["--out", str(model_a)]) == 0
     out_a = capsys.readouterr().out
     assert main(train_args + ["--out", str(model_b)]) == 0

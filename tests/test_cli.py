@@ -337,6 +337,49 @@ def test_predict_refuses_a_malformed_model_file_exits_2(tmp_path, capsys, path, 
     assert out == "" and err.startswith(f"data error: {message}"), err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("attribute_names",), "ab", "malformed header in model file: attribute_names must be a JSON array, not str"),
+    (("class_names",), "xy", "malformed header in model file: class_names must be a JSON array, not str"),
+    (("attribute_names", 1), 5, "malformed header in model file: attribute_names must be a JSON string, not int"),
+    (("version",), True, "model version True is not supported"),
+    (("version",), 2.0, "model version 2.0 is not supported"),
+    (("series_length",), 5.9, "malformed header in model file: series_length must be a JSON integer, not float"),
+    (("series_length",), True, "malformed header in model file: series_length must be a JSON integer, not bool"),
+    (("series_length",), "5", "malformed header in model file: series_length must be a JSON integer, not str"),
+    (("tree", "decision", "attribute_index"), True,
+     "malformed decision in model file: attribute_index must be a JSON integer, not bool"),
+    (("tree", "decision", "derivative_degree"), 1.0,
+     "malformed decision in model file: derivative_degree must be a JSON integer, not float"),
+    (("tree", "left", "class_index"), "0", "malformed leaf in model file: class_index must be a JSON integer, not str"),
+    (("tree", "left", "class_counts", 0), 3.0,
+     "malformed leaf in model file: class_counts must be a JSON integer, not float"),
+    (("tree", "left", "class_counts", 1), True,
+     "malformed leaf in model file: class_counts must be a JSON integer, not bool"),
+    (("tree", "decision", "threshold"), "0.5", "malformed decision in model file: threshold must be a JSON number, not str"),
+    (("tree", "decision", "alpha"), True, "malformed decision in model file: alpha must be a JSON number, not bool"),
+    (("tree", "decision", "eq_tolerance"), "0", "malformed decision in model file: eq_tolerance must be a JSON number, not str"),
+    (("config", "alpha_grid", 0), "0.6", "malformed config in model file: alpha_grid must be a JSON number, not str"),
+    (("config", "max_derivative"), True, "malformed config in model file: max_derivative must be a JSON integer, not bool"),
+    (("config", "min_leaf_size"), 2.0, "malformed config in model file: min_leaf_size must be a JSON integer, not float"),
+    (("config", "max_threshold_candidates"), "3",
+     "malformed config in model file: max_threshold_candidates must be a JSON integer, not str"),
+    (("config", "purity_threshold"), False, "malformed config in model file: purity_threshold must be a JSON number, not bool"),
+    (("config", "relations"), "AL", "malformed config in model file: relations must be a JSON array, not str"),
+])
+def test_a_model_part_of_another_json_type_is_refused_not_coerced_exits_2(tmp_path, capsys, path, value, message):
+    """Each part of a model file is read with its exact JSON type, and
+    nothing is coerced: a string is no array of names, ``true``, ``5.9`` or
+    ``"3"`` no integer, and ``true`` or ``"0.5"`` no number.  ``predict``
+    and ``evaluate`` both exit 2, naming the part."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(_mutated(_SMALL_MODEL, path, value), encoding="utf-8")
+    data = write_dataset(tmp_path, TemporalDataset([Instance(np.zeros((2, 5)), 0)], ["a", "b"], ["x"], 5))
+    for command in ("predict", "evaluate"):
+        assert main([command, "--model", str(model_path), "--data", str(data)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"data error: {message}"), (command, err)
+
+
 def test_a_model_nested_past_the_recursion_limit_is_a_data_error():
     """A tree nested past the interpreter's recursion limit is a data error,
     whether the JSON parser or the tree walk runs out of frames first (the
@@ -950,6 +993,18 @@ def test_compare_and_bench_refuse_no_methods_or_no_data_files(tmp_path, capsys):
     for folder, message in ((tmp_path / "nowhere", "no such directory:"), (empty, "no data files found under")):
         assert main(["bench", "--data-dir", str(folder)]) == 2
         assert capsys.readouterr().err == f"data error: {message} {folder}\n"
+
+
+def test_train_takes_no_seed_but_compare_and_bench_do(tmp_path, capsys):
+    """The learner is deterministic, so ``train --seed`` is a usage error;
+    the resampling commands keep theirs."""
+    data = str(write_dataset(tmp_path, separable_dataset()))
+    assert main(["train", "--data", data, "--seed", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: unrecognized arguments: --seed 9\n"
+    for command, listed in (("train", False), ("compare", True), ("bench", True)):
+        assert main([command, "--help"]) == 0
+        assert ("--seed" in capsys.readouterr().out) == listed, command
 
 
 def test_help_exits_0_and_an_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import csv
 import io
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import DataFormatError, Instance, TemporalDataset
 from tstrees.dataio import (
@@ -293,6 +295,32 @@ def test_resample_split_singleton_class_warns():
         train, test = resample_split(ds, 0.8, seed=5)
     assert train.size + test.size == 7
     assert train.size == 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.lists(st.integers(0, 12), min_size=1, max_size=5).filter(lambda sizes: sum(sizes) >= 2),
+    st.integers(0, 2**32),
+)
+@example(1.0 - 2.0**-53, [1, 0, 1, 5], 0)
+@example(5e-324, [1, 1, 0], 0)
+@example(0.5, [1, 1, 1, 1, 1], 0)
+def test_resample_split_meets_its_quotas_in_one_remainder_pass_property(fraction, sizes, seed):
+    """The training side holds ceil(f * m) cases, each class its floor or
+    ceiling of f times its size, and the two sides partition each class's
+    cases, for every f in (0, 1) and class sizes that include empty and
+    one-member classes."""
+    ds = _counted_dataset(sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a one-member class warns
+        train, test = resample_split(ds, fraction, seed)
+    assert train.size == math.ceil(fraction * sum(sizes))
+    for c, size in enumerate(sizes):
+        assert math.floor(fraction * size) <= train.class_counts()[c] <= math.ceil(fraction * size)
+        # copies share their original's channel matrix
+        ids = sorted(id(i.channels) for i in ds.instances if i.class_index == c)
+        assert sorted(id(i.channels) for i in train.instances + test.instances if i.class_index == c) == ids
 
 
 def test_resample_split_bad_fraction():

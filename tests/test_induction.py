@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import (
     Comparator,
+    DataFormatError,
     FULL_HS,
     Instance,
     Interval,
@@ -36,7 +37,7 @@ from tstrees.induction import (
     info_split,
     static_series_dataset,
 )
-from tstrees.intervals import point_spans
+from tstrees.intervals import point_spans, relation_boxes
 
 import oracles
 from conftest import random_dataset
@@ -94,6 +95,14 @@ def test_candidate_thresholds_cap(rng):
 def test_best_split_pure_returns_none():
     instances = [Instance(np.array([[float(i), float(i)]]), 0) for i in range(4)]
     assert best_split(instances, LearnerConfig(min_leaf_size=1)) is None
+
+
+def test_best_split_refuses_differences_out_of_float64_range():
+    # 1.7e308 - (-1.7e308) is past float64: a data error, with no overflow
+    # warning (the suite turns warnings into errors) and no inf threshold
+    instances = [Instance(np.array([[-1.7e308, 1.7e308, 0.0]]), i % 2) for i in range(6)]
+    with pytest.raises(DataFormatError, match="^attribute 0: degree-1 differences out of float64 range$"):
+        best_split(instances, LearnerConfig(max_derivative=1))
 
 
 def test_best_split_derived_example():
@@ -456,7 +465,7 @@ def test_window_runs_equal_the_successor_windows_property(node):
     points = n - z
     relations = sorted(Rel, key=lambda r: r.rank)
     x, y = np.array([[ref.x, ref.y] for ref in references]).T
-    box = induction._successor_boxes(relations, x, y, n)
+    box = relation_boxes(relations, x, y, n)
     first, stop = induction._window_runs(box, points, np.arange(1, points + 1)[:, None, None])
     for r, rel in enumerate(relations):
         for d, ref in enumerate(references):
@@ -589,7 +598,7 @@ def test_streamed_critical_ranks_equal_the_definition_property(node):
     m, t = derivs[0].shape[0], max(map(len, thresholds))
     distinct, back = np.unique([ref.x * (n + 1) + ref.y for ref in references], return_inverse=True)
     relations = sorted(Rel, key=lambda r: r.rank)
-    box = induction._successor_boxes(relations, *np.divmod(distinct, n + 1), n)
+    box = relation_boxes(relations, *np.divmod(distinct, n + 1), n)
     sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
     got = induction._streamed_critical_ranks(
         induction._batch_ranks(derivs, thresholds), t, induction._window_reads(box, n - z), len(relations),

@@ -17,6 +17,7 @@ from tstrees.intervals import (
     derivative,
     enumerate_intervals,
     holds_on,
+    relation_boxes,
     relation_rectangle,
     required_count,
     required_counts,
@@ -92,6 +93,32 @@ def test_successors_equal_filtered_enumeration():
                 r1, r2, c1, c2 = relation_rectangle(rel, i.x, i.y, n)
                 inside = [j for j in ivals if r1 <= j.x <= r2 and c1 <= j.y <= c2]
                 assert inside == expected, (i, rel)
+
+
+@st.composite
+def _boxed_references(draw):
+    """A grid size n, 1-5 references [x, y] on it and 1-4 relations."""
+    n = draw(st.integers(1, 12))
+    reference = st.integers(0, n - 1).flatmap(lambda x: st.tuples(st.just(x), st.integers(x + 1, n)))
+    return n, draw(st.lists(reference, min_size=1, max_size=5)), draw(st.lists(st.sampled_from(Rel), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_boxed_references())
+def test_relation_boxes_equal_relation_rectangle_property(case):
+    """Each (relation, reference) box is the reference's
+    :func:`relation_rectangle`; a box with successors lies in the grid with
+    r1 < c1 and r2 < c2."""
+    n, references, relations = case
+    x, y = np.array(references).T
+    box = relation_boxes(relations, x, y, n)
+    assert box.shape == (4, len(relations), len(references)) and box.dtype == np.intp
+    for r, rel in enumerate(relations):
+        for d, (u, v) in enumerate(references):
+            r1, r2, c1, c2 = bounds = box[:, r, d].tolist()
+            assert tuple(bounds) == relation_rectangle(rel, u, v, n), (rel, u, v)
+            if r1 <= r2 and c1 <= c2:
+                assert 0 <= r1 < c1 and r2 < c2 <= n, (rel, u, v)
 
 
 def test_derivative_examples():
