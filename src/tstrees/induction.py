@@ -8,14 +8,14 @@ thresholds and keeps the candidate of minimal weighted child entropy.
 The learner searches the comparators ``<=`` and ``>`` only (``=`` is refused
 by :class:`tstrees.core.LearnerConfig`).  Both are monotone in the
 threshold, so they are searched by a sweep over sorted values, as C4.5
-searches a numeric attribute (Quinlan 1993).  Each point value is replaced
-by its rank among the candidate thresholds, both read off a sort of the
-attribute's values.  ``np.unique`` is not used: on numpy >= 2.3 its hash set
-grew a fresh process's heap by 1.2 MiB on its first call, where a sort grows
-RSS by 256 KiB, all of it code.  An interval of p data-bearing points
-satisfies ``A <= t`` at alpha exactly when its k-th smallest value is <= t,
-and ``A > t`` exactly when its k-th largest value is > t, with k =
-ceil(alpha * p).  No window is sorted.  Per degree, the attributes with
+searches a numeric attribute (Quinlan 1993).  One argsort per (attribute,
+degree) of the node's values gives its range check, its candidate
+thresholds and each point's rank among them (:func:`_ranked_thresholds`).
+``np.unique`` is not used: on numpy >= 2.3 its hash set grew a fresh heap
+by 1.2 MiB, where a sort pages in 256 KiB of code.  An interval of p
+data-bearing points satisfies ``A <= t`` at alpha exactly when its k-th
+smallest value is <= t, and ``A > t`` exactly when its k-th largest value
+is > t, with k = ceil(alpha * p).  No window is sorted.  Per degree, the attributes with
 thresholds are searched in batches of as many as the budget
 :data:`_TABLE_CELLS` allows, side by side on the instance axis.  Per batch,
 the sorted windows of p + 1 points grow from those of p points by inserting
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -115,6 +115,21 @@ def info_split(parent_total: int, partitions: Sequence[Sequence[int]]) -> float:
     return acc
 
 
+def _midpoints(ordered: np.ndarray, cap: int) -> np.ndarray:
+    """The thresholds of :func:`candidate_thresholds` from the ascending
+    finite ``ordered`` values: the midpoints between consecutive distinct
+    values, thinned to ``cap`` evenly spaced ones by index."""
+    at = np.flatnonzero(ordered[1:] != ordered[:-1])  # the last of each run of equal values but the last
+    if at.size > cap:  # thinned before any midpoint is taken
+        at = at[np.round(np.linspace(0, at.size - 1, cap)).astype(np.intp)]
+    lower, upper = ordered[at], ordered[at + 1]
+    with np.errstate(over="ignore"):  # a sum past float64 range is redone below
+        mids = (lower + upper) / 2.0
+    over = np.isinf(mids)
+    mids[over] = lower[over] / 2.0 + upper[over] / 2.0
+    return mids
+
+
 def candidate_thresholds(values: Sequence[float] | np.ndarray, cap: int) -> list[float]:
     """Split thresholds for an observed value multiset.
 
@@ -122,28 +137,15 @@ def candidate_thresholds(values: Sequence[float] | np.ndarray, cap: int) -> list
     ``cap`` exist they are thinned to ``cap`` evenly spaced ones (by index
     over the midpoint sequence, i.e. evenly spaced quantiles).  Deterministic;
     empty for a constant multiset.  NaN and infinite values are refused, so
-    the thresholds are finite and ascending.  The distinct values come from
-    ``np.sort``, not from ``np.unique``, whose hash set grew a fresh heap by
-    1.2 MiB (see the module docstring).
+    the thresholds are finite and ascending.  Split search takes the same
+    ones from the argsort that ranks its values (:func:`_ranked_thresholds`).
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("cannot derive thresholds from no values")
     if not np.isfinite(arr).all():
         raise ValueError("cannot derive thresholds from NaN or infinite values")
-    ordered = np.sort(arr, axis=None)
-    step = ordered[1:] != ordered[:-1]  # from the last of a run of equal values to the next
-    lower, upper = ordered[:-1][step], ordered[1:][step]
-    if not lower.size:
-        return []
-    with np.errstate(over="ignore"):  # a sum past float64 range is redone below
-        mids = (lower + upper) / 2.0
-    over = np.isinf(mids)
-    mids[over] = lower[over] / 2.0 + upper[over] / 2.0
-    if mids.size > cap:
-        idx = np.round(np.linspace(0, mids.size - 1, cap)).astype(np.intp)
-        mids = mids[idx]
-    return [float(v) for v in mids]
+    return _midpoints(np.sort(arr, axis=None), cap).tolist()
 
 
 @dataclass(frozen=True)
@@ -167,32 +169,33 @@ class SplitCandidate:
 _TABLE_CELLS = 2**19
 
 
-def _batch_ranks(derivs: Sequence[np.ndarray], thresholds: Sequence[Sequence[float]]) -> np.ndarray:
-    """The (points, B * m) threshold ranks of one batch of B attributes, each
-    an (m, points) array of ``derivs`` with its ascending ``thresholds``:
-    entry [p, a * m + i] is the number of attribute a's thresholds below
-    point p + 1 of its instance i, so ``x <= t_j`` iff rank <= j and
-    ``x > t_j`` iff rank > j.  The ranks take the smallest integer type that
-    holds -t - 1 .. t, t being the batch's largest threshold count (int8 for
-    up to 127 thresholds).  Each attribute's point-major values are searched
-    in sorted order, from one argsort, and the ranks scattered back: about
-    half the time of a search of the unsorted values on 96 x 30 values."""
-    m, points = derivs[0].shape
-    ranks = np.empty((points, len(derivs) * m), dtype=np.min_scalar_type(-max(map(len, thresholds)) - 1))
-    ranked = np.empty(points * m, dtype=ranks.dtype)
-    for a, (deriv, thr) in enumerate(zip(derivs, thresholds)):
-        values = deriv.T.ravel()
-        order = values.argsort()
-        ranked[order] = np.searchsorted(thr, values[order], side="left")
-        ranks[:, a * m : (a + 1) * m] = ranked.reshape(points, m)
-    return ranks
+def _ranked_thresholds(deriv: np.ndarray, cap: int, attr: int, z: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending candidate thresholds of one attribute's (m, points)
+    degree-``z`` values ``deriv`` and the (points, m) ranks of its values
+    among them, from one argsort of its point-major values: searching them
+    in sorted order and scattering the ranks back takes about half the time
+    of a search of the unsorted values on 96 x 30 values.  Entry [p, i] is
+    the number of thresholds below point p + 1 of instance i, so ``x <=
+    t_j`` iff rank <= j and ``x > t_j`` iff rank > j, in the smallest type
+    that holds -t - 1 .. t for t thresholds (int8 up to 127).  NaN and inf
+    sort to the ends: a :class:`DataFormatError` naming attribute ``attr``."""
+    m, points = deriv.shape
+    values = deriv.T.ravel()
+    order = values.argsort()
+    ordered = values[order]
+    if not (-np.inf < ordered[0] and ordered[-1] < np.inf):
+        raise DataFormatError(f"attribute {attr}: degree-{z} differences out of float64 range")
+    thresholds = _midpoints(ordered, cap)
+    ranks = np.empty(points * m, dtype=np.min_scalar_type(-thresholds.size - 1))
+    ranks[order] = np.searchsorted(thresholds, ordered, side="left")
+    return thresholds, ranks.reshape(points, m)
 
 
 def _sorted_windows(ranks: np.ndarray):
-    """The sorted windows of one batch's :func:`_batch_ranks`: yields
-    ``(size, window)`` for size 1 .. points, where ``window[j, s, col]`` is
-    the j-th smallest rank of column col over the ``size`` points from point
-    s + 1.
+    """The sorted windows of a batch's (points, B * m) ranks, attribute a's
+    :func:`_ranked_thresholds` in columns a * m ..: yields ``(size,
+    window)`` for size 1 .. points, where ``window[j, s, col]`` is the j-th
+    smallest rank of column col over the ``size`` points from point s + 1.
 
     Nothing is sorted: the sorted windows of p + 1 points come from those of
     p points by inserting the next point x, as ``min(w[j], max(w[j - 1],
@@ -302,18 +305,19 @@ def _streamed_critical_ranks(
     n: int,
 ) -> list[np.ndarray]:
     """Per (comparator, alpha) of ``sweeps``, the (r, B * m) critical ranks
-    of one batch's :func:`_batch_ranks` (t its largest threshold count) under
-    r relations whose windows are read as ``reads`` says, instance i standing
-    on reference ``back[i]`` (``back`` is None on one reference).  Entry [r,
-    a * m + i] is the min (for ``<=``) or max (for ``>``), over instance i's
-    successors under relation r, of the k-th smallest (resp. largest) rank
-    of attribute a over the successor's p data-bearing points, k =
-    ``required_counts(alpha, n)[p]``, from the never value t (resp. -1), which
-    an empty window reads; instance i satisfies the modality at thresholds[j]
-    iff it is <= j (resp. > j).  It is folded in while :func:`_sorted_windows`
-    holds each size's windows: on one reference over basic slices of the
-    order-statistic row, on several from a sparse table of that row (see
-    :func:`_window_reads`) with two flat takes."""
+    of a batch's ``ranks`` (as :func:`_sorted_windows` takes them, t the
+    largest threshold count) under r relations whose windows are read as
+    ``reads`` says, instance i standing on reference ``back[i]`` (None on
+    one reference).  Entry [r, a * m + i] is the min (for ``<=``) or max
+    (for ``>``), over instance i's successors under relation r, of the k-th
+    smallest (resp. largest) rank of attribute a over the successor's p
+    data-bearing points, k = ``required_counts(alpha, n)[p]``, from the
+    never value t (resp. -1), which an empty window reads; instance i
+    satisfies the modality at thresholds[j] iff it is <= j (resp. > j).  It
+    is folded in while :func:`_sorted_windows` holds each size's windows: on
+    one reference over basic slices of the order-statistic row, on several
+    from a sparse table of that row (see :func:`_window_reads`) with two
+    flat takes."""
     points, width = ranks.shape
     plans = []  # per sweep: its fold, its position per size, its never value and its ranks
     for comparator, alpha in sweeps:
@@ -394,18 +398,6 @@ def _split_scorer(parent_counts: np.ndarray, low: int):
     return score
 
 
-def _difference(deriv: np.ndarray, z: int, name: Callable[[int], str]) -> np.ndarray:
-    """The next forward difference, of degree ``z``, of the (m, attributes,
-    points) ``deriv``; the first attribute whose differences leave float64
-    range is a :class:`DataFormatError`, ``name(a)`` naming attribute a."""
-    with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
-        deriv = np.diff(deriv, axis=2)
-    finite = np.isfinite(deriv).all(axis=(0, 2))
-    if not finite.all():
-        raise DataFormatError(f"{name(int(finite.argmin()))}: degree-{z} differences out of float64 range")
-    return deriv
-
-
 def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional[SplitCandidate]:
     """The admissible candidate of minimal weighted child entropy, or None
     when no candidate both respects ``min_leaf_size`` on each side and has
@@ -413,8 +405,9 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
 
     Ties are broken canonically by (attribute index, relation order,
     comparator order, threshold, alpha, derivative degree).  Differences of
-    a searched degree past float64 range are a :class:`DataFormatError`, as
-    they are for the router.
+    a searched degree past float64 range, as for the router, and NaN or
+    infinite values are a :class:`DataFormatError` naming the attribute
+    and degree.
     """
     m = len(instances)
     low, high = config.min_leaf_size, m - config.min_leaf_size
@@ -451,28 +444,28 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     top = min(config.max_derivative, n - 1)
     for z in range(top + 1):
         if z:
-            deriv = _difference(deriv, z, "attribute {}".format)
-        searched = []  # (attribute, thresholds) of the attributes with thresholds
+            with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
+                deriv = np.diff(deriv, axis=2)
+        searched = []  # (attribute, thresholds, ranks) of the attributes with thresholds
         for attr in range(deriv.shape[1]):
-            thresholds = candidate_thresholds(deriv[:, attr].ravel(), config.max_threshold_candidates)
-            if thresholds:
-                searched.append((attr, thresholds))
+            thresholds, ranked = _ranked_thresholds(deriv[:, attr], config.max_threshold_candidates, attr, z)
+            if thresholds.size:
+                searched.append((attr, thresholds, ranked))
+        if z == top:  # the floats of the last degree are gone before any window grows
+            deriv = None
         points = n - z
         # an attribute's two window buffers and its sparse table, per instance
         cells = 2 * ((points + 1) ** 2 // 4) + points * points.bit_length()
         per_batch = max(1, _TABLE_CELLS // (cells * m))
-        batches = [searched[first : first + per_batch] for first in range(0, len(searched), per_batch)]
         reads = _window_reads(box, points)
-        # every batch is ranked before any window grows, so that the floats
-        # of the last degree are gone by then
-        ranked = [_batch_ranks([deriv[:, a] for a, _ in batch], [thr for _, thr in batch]) for batch in batches]
-        if z == top:
-            deriv = None
-        for k, batch in enumerate(batches):
+        for first in range(0, len(searched), per_batch):
+            batch = searched[first : first + per_batch]
             b = len(batch)
-            counts = np.array([len(thresholds) for _, thresholds in batch])
+            counts = np.array([thresholds.size for _, thresholds, _ in batch])
             t = int(counts.max())
-            crits = _streamed_critical_ranks(ranked[k], t, reads, r, back, sweeps, n)
+            # contiguous: a column slice of a wider array grew windows 40 % slower
+            ranks = np.concatenate([ranked for *_, ranked in batch], axis=1, dtype=np.min_scalar_type(-t - 1))
+            crits = _streamed_critical_ranks(ranks, t, reads, r, back, sweeps, n)
             # bincount offsets: row (a, r, rank + 1, class) of a (B, R, t + 2,
             # q) table, laid out as crit is, (R, B * m)
             cell = np.arange(b) * r + np.arange(r)[:, None]
@@ -505,9 +498,9 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
                 # the first minimum is the canonical winner of the sweep
                 si = score(c1)
                 w = int(si.argmin())
-                attr, thresholds = batch[attr_at[w]]
+                attr, thresholds, _ = batch[attr_at[w]]
                 rel = relations[rel_at[w]]
-                key = (float(si[w]), attr, rel.rank, comparator.rank, thresholds[thr_at[w]], alpha, z)
+                key = (float(si[w]), attr, rel.rank, comparator.rank, float(thresholds[thr_at[w]]), alpha, z)
                 if key[0] >= parent_info or (best_key is not None and key >= best_key):
                     continue
                 n1 = int(c1[w].sum())
@@ -553,7 +546,12 @@ def _check_differences(dataset: TemporalDataset, max_derivative: int) -> None:
         return
     deriv = np.stack([inst.channels for inst in dataset.instances])
     for z in range(1, min(max_derivative, dataset.series_length - 1) + 1):
-        deriv = _difference(deriv, z, lambda a: f"channel {dataset.attribute_names[a]!r}")
+        with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
+            deriv = np.diff(deriv, axis=2)
+        finite = np.isfinite(deriv).all(axis=(0, 2))
+        if not finite.all():
+            name = dataset.attribute_names[int(finite.argmin())]
+            raise DataFormatError(f"channel {name!r}: degree-{z} differences out of float64 range")
 
 
 def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:

@@ -95,20 +95,27 @@ def _rise_and_fall(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_training_on_moved_references_matches_its_golden_digests(tmp_path):
+@pytest.mark.parametrize("extra, head, digests", [
+    ([], ["<L> series <= -3.37", "|   <L> series > 0.35: Rise (12.0)"],
+     ("add8e5fc5dee72dd10cc1f68b291e5d1b09f70c4b41acc357e9aa67c43bc989c",
+      "f85af5901482f3619183637c0f4ccb3bad53b22b48dbffdca869d5c442c2abbc")),
+    # a degree-2 root, and below it an <A> node on moved references
+    (["--max-z", "2"], ["<L> series <= -6.24 @z=2", "|   <A> series > 6.14"],
+     ("b907a43527eb95d0bf7950dee1359b64504e25f35a7618ca8e97ae5669f59ff7",
+      "f5df8bcb91e9467835cac8eb620c8187e95d32773e5060f30a3d4bacf5b32895")),
+], ids=["max-z-0", "max-z-2"])
+def test_training_on_moved_references_matches_its_golden_digests(tmp_path, extra, head, digests):
     """No workload trains a node whose instances stand on different
-    references.  Here the root's ``<L>`` decision moves Rise and Fall onto
-    the witnesses of their dips, and that branch splits again from there,
-    so the split search of a node on differing references is held byte for
-    byte as well."""
+    references, nor picks a split of degree >= 1.  Here the root's ``<L>``
+    decision moves Rise and Fall onto the witnesses of their dips (or, up to
+    degree 2, of their second differences), and that branch splits again
+    from there, so the split search of a node on differing references is
+    held byte for byte as well."""
     _rise_and_fall(tmp_path / "rise_and_fall.csv")
     argv = ["train", "--data", str(tmp_path / "rise_and_fall.csv"), "--alpha", "0.5",
-            "--min-leaf", "2", "--out", str(tmp_path / "model.json")]
+            "--min-leaf", "2", "--out", str(tmp_path / "model.json"), *extra]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
-    assert buf.getvalue().splitlines()[:2] == ["<L> series <= -3.37", "|   <L> series > 0.35: Rise (12.0)"]
-    assert (_sha256(buf.getvalue().encode("utf-8")), _sha256((tmp_path / "model.json").read_bytes())) == (
-        "add8e5fc5dee72dd10cc1f68b291e5d1b09f70c4b41acc357e9aa67c43bc989c",
-        "f85af5901482f3619183637c0f4ccb3bad53b22b48dbffdca869d5c442c2abbc",
-    )
+    assert buf.getvalue().splitlines()[:2] == head
+    assert (_sha256(buf.getvalue().encode("utf-8")), _sha256((tmp_path / "model.json").read_bytes())) == digests

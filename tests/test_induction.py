@@ -105,6 +105,14 @@ def test_best_split_refuses_differences_out_of_float64_range():
         best_split(instances, LearnerConfig(max_derivative=1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_best_split_refuses_nan_and_infinite_values_naming_the_attribute(bad):
+    instances = [Instance(np.array([[0.0, i, 1.0], [1.0, 2.0, i]]), i % 2) for i in range(6)]
+    instances[3].channels[1, 1] = bad
+    with pytest.raises(DataFormatError, match="^attribute 1: degree-0 differences out of float64 range$"):
+        best_split(instances, LearnerConfig())
+
+
 def test_best_split_derived_example():
     ds = four_series_dataset()
     cfg = LearnerConfig(
@@ -415,14 +423,16 @@ def test_root_search_on_long_series_stays_within_its_memory_budget():
     racket-train options (full HS, ``<=`` and ``>``, alphas 0.6 and 0.9,
     degree 0) stays within an 11 MiB tracemalloc peak at 150 points and a
     12 MiB one at 300 points on the root reference (1.3 and 4.5 MiB
-    measured; 6.6 and 24.8 MiB with a table per sweep), and within 11 MiB at
+    measured; 6.6 and 24.8 MiB with a table per sweep), within 11 MiB at
     150 points with the series spread over 20 distinct references (3.1 MiB
     measured; 23 MiB with a gathered mask per relation and a table per
-    sweep): a node keeps only its growing windows and one sparse table, and
-    a batch frees them before the next batch grows its own."""
+    sweep), and within 11 MiB at 150 points up to degree 2 (1.9 MiB
+    measured): a node keeps only its growing windows and one sparse table,
+    and a batch frees them before the next batch grows its own."""
     rng = np.random.default_rng(5)
-    config = LearnerConfig(alpha_grid=(0.6, 0.9))
-    for points, distinct, budget in ((150, 1, 11 * 2**20), (300, 1, 12 * 2**20), (150, 20, 11 * 2**20)):
+    for points, distinct, top, budget in ((150, 1, 0, 11 * 2**20), (300, 1, 0, 12 * 2**20),
+                                          (150, 20, 0, 11 * 2**20), (150, 1, 2, 11 * 2**20)):
+        config = LearnerConfig(alpha_grid=(0.6, 0.9), max_derivative=top)
         pool = [Interval(0, 1)]
         if distinct > 1:
             cells = [Interval(x, y) for x in range(points) for y in range(x + 1, points + 1)]
@@ -436,7 +446,7 @@ def test_root_search_on_long_series_stays_within_its_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= budget, (points, distinct)
+        assert peak <= budget, (points, distinct, top)
 
 
 @st.composite
@@ -540,27 +550,20 @@ _ULP = np.nextafter(1.0, 2.0) - 1.0
 @example((np.stack([np.full((4, 40), 2.5), _SHUFFLED]), 0, 100))  # a constant attribute
 @example((np.round(_SHUFFLED / 40)[None], 0, 100))  # repeated values
 @example((np.random.default_rng(3).normal(size=(2, 6, 30)), 1, 300))  # degree 1, 173 thresholds: int16
-def test_batch_ranks_equal_a_search_of_the_thresholds_property(batch):
-    """The ranks from each attribute's argsort are, in the batch's (points,
-    B * m) layout and smallest rank type, what searching every value in the
-    attribute's candidate thresholds gives."""
+def test_ranked_thresholds_equal_candidate_thresholds_and_a_search_of_them_property(batch):
+    """One argsort of each attribute's point-major values gives the
+    thresholds that :func:`candidate_thresholds` gives and, in (points, m)
+    layout and the smallest rank type, the ranks that searching every value
+    in them gives."""
     series, z, cap = batch
-    derivs, thresholds = [], []
-    for attribute in series:
+    for a, attribute in enumerate(series):
         deriv = np.diff(attribute, n=z, axis=1)
-        found = candidate_thresholds(deriv.ravel(), cap)
-        if found:
-            derivs.append(deriv)
-            thresholds.append(found)
-    if not derivs:
-        return
-    m, points = derivs[0].shape
-    got = induction._batch_ranks(derivs, thresholds)
-    assert got.shape == (points, len(derivs) * m)
-    assert got.dtype == np.min_scalar_type(-max(map(len, thresholds)) - 1)
-    for a, deriv in enumerate(derivs):
-        want = np.searchsorted(candidate_thresholds(deriv.ravel(), cap), deriv.T, side="left")
-        assert (got[:, a * m : (a + 1) * m] == want).all()
+        thresholds, ranks = induction._ranked_thresholds(deriv, cap, a, z)
+        want = candidate_thresholds(deriv.ravel(), cap)
+        assert thresholds.tolist() == want
+        assert ranks.dtype == np.min_scalar_type(-len(want) - 1)
+        assert ranks.shape == deriv.T.shape
+        assert (ranks == np.searchsorted(want, deriv.T, side="left")).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -586,13 +589,14 @@ def test_streamed_critical_ranks_equal_the_definition_property(node):
     batch's attributes stand side by side, in the smallest rank type."""
     series, references, z, cap, alphas = node
     n = series.shape[2]
-    derivs, thresholds = [], []
-    for attribute in series:
+    derivs, thresholds, columns = [], [], []
+    for a, attribute in enumerate(series):
         deriv = np.diff(attribute, n=z, axis=1)
-        found = candidate_thresholds(deriv.ravel(), cap)
-        if found:
+        found, ranked = induction._ranked_thresholds(deriv, cap, a, z)
+        if found.size:
             derivs.append(deriv)
-            thresholds.append(found)
+            thresholds.append(found.tolist())
+            columns.append(ranked)
     if not derivs:
         return
     m, t = derivs[0].shape[0], max(map(len, thresholds))
@@ -600,8 +604,9 @@ def test_streamed_critical_ranks_equal_the_definition_property(node):
     relations = sorted(Rel, key=lambda r: r.rank)
     box = relation_boxes(relations, *np.divmod(distinct, n + 1), n)
     sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
+    ranks = np.concatenate(columns, axis=1, dtype=np.min_scalar_type(-t - 1))
     got = induction._streamed_critical_ranks(
-        induction._batch_ranks(derivs, thresholds), t, induction._window_reads(box, n - z), len(relations),
+        ranks, t, induction._window_reads(box, n - z), len(relations),
         back if distinct.size > 1 else None, sweeps, n,
     )
     assert all(crit.dtype == np.min_scalar_type(-t - 1) for crit in got)
