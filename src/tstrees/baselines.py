@@ -134,17 +134,20 @@ def _euclidean(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """DTW of every column of one pass: ``train`` is (n, c, 1, r) and
-    ``queries`` (m, c, b, 1), both time-major, and column (q, s) pairs query
-    q with series s.  The local cost of (i, j) is the squared difference
-    between step i of a series and step j of a query, summed over the
-    channels in channel order.
+    ``queries`` (m, c, b, 1), both time-major, the queries in reversed time
+    (row m - j holds step j), and column (q, s) pairs query q with series s.
+    The local cost of (i, j) is the squared difference between step i of a
+    series and step j of a query, summed over the channels in channel
+    order.
 
     The accumulated-cost table D is filled one anti-diagonal i + j = k at a
     time: a cell's predecessors (i-1, j), (i, j-1) and (i-1, j-1) lie on
     diagonals k-1 and k-2, so three rolling (n + 1, b, r) buffers indexed by
-    i suffice, and diagonal k is their contiguous slice [lo : hi + 1].
-    Index 0 and the cells a diagonal does not cover stay inf, which is D's
-    boundary.  Returns the (b, r) values D[n, m].
+    i suffice, and diagonal k is their contiguous slice [lo : hi + 1].  The
+    query steps k - i of a diagonal fall as i rises, so reversed in time
+    they are one forward slice too.  Index 0 and the cells a diagonal does
+    not cover stay inf, which is D's boundary.  Returns the (b, r) values
+    D[n, m].
     """
     n, c = train.shape[:2]
     m, _, b = queries.shape[:3]
@@ -159,8 +162,8 @@ def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
         series = train[lo - 1 : hi]
-        # j - 1 = k - i - 1 falls as i rises, so the query slice is reversed
-        steps = queries[k - hi - 1 : k - lo][::-1]
+        # step j = k - i at row m - j = m - k + i of the reversed queries
+        steps = queries[m - k + lo : m - k + hi + 1]
         diag = cost[: hi - lo + 1]
         if c == 1:
             np.subtract(series[:, 0], steps[:, 0], out=diag)
@@ -183,10 +186,11 @@ def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _dtw(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Unconstrained DTW from each of g queries, stacked time-major as
-    (m, c, g), to each of r series stacked as (n, c, r), with the local cost
-    summed over the c channels.  The (g, r) pairs are scored in passes of at
-    most :data:`_PASS_CELLS` cells per buffer.  Returns the (g, r) table."""
+    """Unconstrained DTW from each of g queries, stacked time-major in
+    reversed time as (m, c, g), to each of r series stacked as (n, c, r),
+    with the local cost summed over the c channels.  The (g, r) pairs are
+    scored in passes of at most :data:`_PASS_CELLS` cells per buffer.
+    Returns the (g, r) table."""
     n, _, r = train.shape
     g = queries.shape[2]
     out = np.empty((g, r))
@@ -221,9 +225,10 @@ def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: s
         return np.empty((0, len(train)))
     if metric == "ed-i":
         return _euclidean(_stack(train), _stack(queries))
-    # time-major: one diagonal of a pass is a contiguous run of the buffers
+    # time-major (queries in reversed time): one diagonal of a pass is a
+    # contiguous run of the buffers and of both stacks
     series = _stack(train).transpose(2, 1, 0).copy()
-    steps = _stack(queries).transpose(2, 1, 0).copy()
+    steps = _stack(queries).transpose(2, 1, 0)[::-1].copy()
     if metric == "dtw-d":
         return _dtw(series, steps)
     # dtw-i: one warp per channel, added in channel order
@@ -273,19 +278,23 @@ def _envelope_bounds(series: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def _pair_dtw_i(series: np.ndarray, steps: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """DTW-I of K (query, series) pairs: ``pairs`` is (2, K), query indices
-    into ``steps`` (m, c, g) over series indices into ``series`` (n, c, r),
-    both time-major.  Each (pair, channel) is one column of a
-    :func:`_dtw_pass`, gathered pass by pass, so a pass holds up to
-    :data:`_PASS_CELLS` / (n + 1) columns.  Each pair's channel values are
-    added in channel order, as :func:`_distances` adds them, so every value
-    is ``==`` to its entry there."""
-    n, c = series.shape[:2]
+    into ``steps`` (m, c, g), in reversed time, over series indices into
+    ``series`` (n, c, r), both time-major.  Each (pair, channel) is one
+    column of a :func:`_dtw_pass`, gathered pass by pass into C-contiguous
+    (time, column) stacks, so a pass holds up to :data:`_PASS_CELLS` /
+    (n + 1) columns.  Each pair's channel values are added in channel
+    order, as :func:`_distances` adds them, so every value is ``==`` to its
+    entry there."""
+    n, c, r = series.shape
+    g = steps.shape[2]
+    series, steps = series.reshape(n, -1), steps.reshape(steps.shape[0], -1)
     width = max(1, _PASS_CELLS // (n + 1))
     per_channel = np.empty(pairs.shape[1] * c)
     for start in range(0, per_channel.size, width):
         pair, ch = np.divmod(np.arange(start, min(start + width, per_channel.size)), c)
         per_channel[start : start + width] = _dtw_pass(
-            series[:, ch, pairs[1, pair]][:, None, None], steps[:, ch, pairs[0, pair]][:, None, None]
+            series.take(ch * r + pairs[1, pair], axis=1)[:, None, None],
+            steps.take(ch * g + pairs[0, pair], axis=1)[:, None, None],
         )[0]
     per_channel = per_channel.reshape(-1, c)
     out = per_channel[:, 0].copy()
@@ -307,7 +316,8 @@ def _nearest_dtw_i(train: Sequence[Instance], queries: Sequence[Instance]) -> np
         return np.empty((0, len(train)))
     series = _stack(train).transpose(2, 1, 0).copy()
     steps = _stack(queries).transpose(2, 1, 0).copy()
-    bounds = _envelope_bounds(series, steps)
+    bounds = _envelope_bounds(series, steps)  # summed in time order
+    steps = steps[::-1].copy()
     seeds = np.argsort(bounds, axis=1, kind="stable")[:, :_SEEDS]
     seeded = np.zeros(bounds.shape, dtype=bool)
     np.put_along_axis(seeded, seeds, True, axis=1)
@@ -348,7 +358,7 @@ def dtw(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> flo
     if sa.size == 0 or sb.size == 0:
         raise ValueError("dtw requires non-empty sequences")
     with _in_float64_range("dtw"):
-        return float(_dtw(sa[:, None, None], sb[:, None, None])[0, 0])
+        return float(_dtw(sa[:, None, None], sb[::-1, None, None].copy())[0, 0])
 
 
 def dtw_i(a: Instance, b: Instance) -> float:

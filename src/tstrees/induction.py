@@ -31,20 +31,33 @@ relation without successors is dropped.  The p-point
 windows of a rectangle's successors start at one run of points, in closed
 form (:func:`_window_runs`), so the critical values are folded in while the
 windows of each size are held, and no table of every window is built.  On
-one reference (the root, every node down an unsatisfied branch, every j48
-node), a relation's fold is a min (or max) over a basic slice of the
-order-statistic row.  On several (below a satisfied modal edge), a sparse
-table of that row gives every (relation, instance) run as the fold of two
-entries (:func:`_window_reads`).  Per (comparator, alpha), cumulative class
-counts over the critical values give the partition at every (attribute,
-relation, threshold) of the batch at once.  Only the first threshold of
-each distinct partition is scored.
+one reference (the root, for one), a relation's fold is a min (or max) over
+a basic slice of the order-statistic row.  On several (below a satisfied
+modal edge), a sparse table of that row gives every (relation, instance)
+run as the fold of two entries (:func:`_window_reads`).  Per (comparator,
+alpha), cumulative class counts over the critical values give the
+partition at every (attribute, relation, threshold) of the batch at once.
+Only the first threshold of each distinct partition is scored.
 
 On 96 x 6 Gaussian series with the racket-train config (2-vCPU VM), a root
 search peaks at 1.3, 4.5 and 17 MiB of tracemalloc at N = 150, 300 and 600.
-Spread over 20 distinct references it peaks at 3.1, 6.2 and 20 MiB and
-takes 0.18 and 0.80 s at N = 150 and 300, where a table of every window per
+Spread over 20 distinct references it peaks at 2.6, 6.0 and 20 MiB and
+takes 0.10 and 0.59 s at N = 150 and 300, where a table of every window per
 sweep took 23, 87 and 333 MiB and 0.39 and 2.0 s.
+
+Within one :func:`grow_tree` call the windows grow once per (instance,
+reference), not once per node (:class:`_Seen`).  A critical rank is the
+number of a node's thresholds below the critical value, a non-decreasing
+function of it, and order statistics, min and max commute with such a
+function.  So a node of a tree grows its windows on each instance's own
+ranks (the rank of a value among the instance's own values) and keeps the
+critical values as own ranks; a node whose instances still stand where they
+were found maps them to its thresholds through each instance's sorted
+values (:func:`_rank_table`).  Only below a satisfied modal edge, where
+every instance has moved onto a witness, do the windows grow again.  Own
+ranks fit one byte while N_z <= :data:`_OWN_POINTS`; above it, and in a
+public :func:`best_split`, which has nothing to reuse, each search grows
+its windows on its node ranks.
 
 Candidates are scored together.  Each (batch, degree, comparator, alpha)
 yields one array of satisfying-side class counts, scored in one array pass
@@ -61,6 +74,7 @@ Growth and :func:`classify_all` hand each node's instances to
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -158,13 +172,15 @@ class SplitCandidate:
     partition_sizes: tuple[int, int]
 
 
-#: Cells (one byte each while there are at most 127 thresholds) that one
-#: batch of :func:`best_split` may hold.  Per degree, the attributes with
-#: thresholds are searched in batches, side by side on the instance axis, as
-#: many as fit (at least one), as :data:`tstrees.baselines._PASS_CELLS` caps a
-#: DTW pass.  Per instance, an attribute counts its two window buffers of
-#: floor((N_z + 1)^2 / 4) cells and its largest sparse table, N_z (floor(log2
-#: N_z) + 1) cells.  The racket-train root (96 instances, 30 points, 60,480
+#: Cells (one byte each while there are at most 127 thresholds, or on own
+#: ranks while N_z <= 254) that one batch of :func:`best_split` may hold.
+#: Per degree, the attributes with thresholds are searched in batches, side
+#: by side on the instance axis, as many as fit (at least one), as
+#: :data:`tstrees.baselines._PASS_CELLS` caps a DTW pass.  Per instance, an
+#: attribute counts its two window buffers of floor((N_z + 1)^2 / 4) cells
+#: and its largest sparse table, N_z (floor(log2 N_z) + 1) cells; a node of
+#: a tree that reads kept critical values grows no window but batches its
+#: attributes alike.  The racket-train root (96 instances, 30 points, 60,480
 #: cells per attribute) and j48's 12 static features each fit one batch.
 _TABLE_CELLS = 2**19
 
@@ -303,6 +319,7 @@ def _streamed_critical_ranks(
     back: Optional[np.ndarray],
     sweeps: list[tuple[Comparator, float]],
     n: int,
+    floor: int = -1,
 ) -> list[np.ndarray]:
     """Per (comparator, alpha) of ``sweeps``, the (r, B * m) critical ranks
     of a batch's ``ranks`` (as :func:`_sorted_windows` takes them, t the
@@ -312,17 +329,18 @@ def _streamed_critical_ranks(
     (for ``>``), over instance i's successors under relation r, of the k-th
     smallest (resp. largest) rank of attribute a over the successor's p
     data-bearing points, k = ``required_counts(alpha, n)[p]``, from the
-    never value t (resp. -1), which an empty window reads; instance i
+    never value t (resp. ``floor``), which an empty window reads; instance i
     satisfies the modality at thresholds[j] iff it is <= j (resp. > j).  It
     is folded in while :func:`_sorted_windows` holds each size's windows: on
     one reference over basic slices of the order-statistic row, on several
     from a sparse table of that row (see :func:`_window_reads`) with two
-    flat takes."""
+    flat takes.  Own ranks 1 .. N_z (see :class:`_Seen`) take t = N_z + 1
+    and ``floor`` = 0."""
     points, width = ranks.shape
     plans = []  # per sweep: its fold, its position per size, its never value and its ranks
     for comparator, alpha in sweeps:
         smallest, k = comparator is Comparator.LE, required_counts(alpha, n)
-        never, position = (t, k - 1) if smallest else (-1, np.arange(n + 1) - k)
+        never, position = (t, k - 1) if smallest else (floor, np.arange(n + 1) - k)
         crit = np.full((r, width), never, dtype=ranks.dtype)
         plans.append((np.minimum if smallest else np.maximum, position.tolist(), never, crit))
     if back is not None:
@@ -357,6 +375,91 @@ def _streamed_critical_ranks(
                 fold(below[:rows], below[h : h + rows], out=table[k * (starts + 1) - 2 * h + 1 :][:rows])
             fold(crit, fold(flat.take(lo), flat.take(hi)), out=crit)
     return [crit for *_, crit in plans]
+
+
+#: The largest N_z whose own ranks 1 .. N_z and never values 0 and N_z + 1
+#: fit one byte.  Up to it, the nodes of a tree find critical values as own
+#: ranks and keep them; above it, int16 own ranks would grow the windows
+#: about twice as slowly (45.7 against 93.6 ms for 96 x 6 columns at N =
+#: 150), so each node grows its windows on its node ranks there and keeps
+#: nothing.
+_OWN_POINTS = 254
+
+
+class _Seen:
+    """The critical values that the nodes of one :func:`grow_tree` call
+    share.  An instance's own rank of its k-th smallest value among its own
+    values is k.  Its critical values as own ranks depend only on its series
+    and its reference, not on a node's thresholds.  So the root, and every
+    node below a satisfied modal edge, whose instances have all moved onto
+    witnesses, finds and keeps them, and every other node reads them.
+
+    ``rows`` maps the identity of each instance's channel matrix to its row,
+    and ``on`` holds the reference key each row's values were found on, -1
+    before any.  Per degree z with N_z <= :data:`_OWN_POINTS`, column
+    a * rows + row holds attribute a of the row: ``orders[z]``, (columns,
+    N_z) uint8, its points in ascending order of value, and ``crits[z]``,
+    (sweeps, relations of the config in rank order, columns) uint8, its
+    critical values, 0 the ``>`` never value and N_z + 1 the ``<=`` one.  A
+    reading node's instances are some of those of the node that found their
+    values, on the same references, so it reads only relations and
+    attributes that node searched too (constant values stay constant on a
+    subset), and only entries that node wrote."""
+
+    def __init__(self, rows: dict, attributes: int, config: LearnerConfig) -> None:
+        self.rows = rows
+        self.on = np.full(len(rows), -1)
+        self.shape = (len(config.comparators) * len(config.alpha_grid), len(config.relations), attributes * len(rows))
+        self.orders: dict[int, np.ndarray] = {}
+        self.crits: dict[int, np.ndarray] = {}
+
+    def keep(self, z: int, columns: np.ndarray, ordered: np.ndarray, found: list, held_at: np.ndarray) -> None:
+        """Write ``columns``: their (columns, N_z) ascending ``ordered``
+        points and, per sweep, their (r, columns) own-rank critical values
+        ``found`` under the node's relations ``held_at``."""
+        if z not in self.orders:
+            self.orders[z] = np.empty((self.shape[2], ordered.shape[1]), dtype=np.uint8)
+            self.crits[z] = np.empty(self.shape, dtype=np.uint8)
+        self.orders[z][columns] = ordered
+        self.crits[z][:, held_at[:, None], columns] = found
+
+    def read(self, z: int, columns: np.ndarray, held_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ascending points and the own-rank critical values under the
+        relations ``held_at`` that :meth:`keep` wrote to ``columns``."""
+        return self.orders[z].take(columns, axis=0), self.crits[z][:, held_at].take(columns, axis=2)
+
+
+#: The :class:`_Seen` of the tree that :func:`grow_tree` is growing.
+_growing: ContextVar[Optional[_Seen]] = ContextVar("_growing", default=None)
+
+
+def _sorted_at(order: np.ndarray) -> np.ndarray:
+    """The flat positions, in a (points, columns) array, of each column's
+    points in the ascending ``order`` (columns, points) of its values."""
+    return np.multiply(order, order.shape[0], dtype=np.intp) + np.arange(order.shape[0])[:, None]
+
+
+def _rank_table(at: np.ndarray, ranks: np.ndarray, t: int) -> np.ndarray:
+    """The (columns, points + 2) node ranks of each own rank of a batch's
+    (points, columns) node ``ranks``, t the largest threshold count, ``at``
+    its :func:`_sorted_at`.  A node rank is a non-decreasing function of the
+    value, and order statistics, min and max commute with it, so own rank k
+    maps to the node rank of the column's k-th smallest value, 0 to -1 and
+    points + 1 to t, and critical values map to the ranks that
+    :func:`_streamed_critical_ranks` finds on the node ranks
+    (:func:`_node_ranks`)."""
+    points, cols = ranks.shape
+    table = np.empty((cols, points + 2), dtype=ranks.dtype)
+    table[:, 0], table[:, -1] = -1, t
+    table[:, 1:-1] = ranks.reshape(-1).take(at)
+    return table
+
+
+def _node_ranks(crits, table: np.ndarray) -> list[np.ndarray]:
+    """Per sweep, the (r, columns) node ranks of the own-rank critical
+    values ``crits`` (r, columns), through the :func:`_rank_table`."""
+    offsets = np.arange(0, table.size, table.shape[1])
+    return [table.reshape(-1).take(crit + offsets) for crit in crits]
 
 
 def _split_scorer(parent_counts: np.ndarray, low: int):
@@ -408,6 +511,11 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     a searched degree past float64 range, as for the router, and NaN or
     infinite values are a :class:`DataFormatError` naming the attribute
     and degree.
+
+    A call from :func:`grow_tree` reuses the critical values that the
+    tree's earlier nodes kept for instances that still stand where they
+    were found, and keeps those it finds (see :class:`_Seen`); the result
+    is the same.  Any other call finds them all and keeps nothing.
     """
     m = len(instances)
     low, high = config.min_leaf_size, m - config.min_leaf_size
@@ -426,9 +534,19 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     held = ((box[0] <= box[1]) & (box[2] <= box[3])).any(axis=1)
     if not held.any():
         return None
-    relations = [rel for rel, kept in zip(relations, held.tolist()) if kept]
+    held_at = np.flatnonzero(held)  # the node's relations among the config's
+    relations = [relations[k] for k in held_at.tolist()]
     box = box[:, held]
     back = back if distinct.size > 1 else None
+
+    # below a satisfied modal edge every instance has moved onto a witness
+    # since its last search, elsewhere none has: a node of a tree finds the
+    # critical values of all its instances or reads them all
+    tree = _growing.get()
+    if tree is not None:
+        rows = np.array([tree.rows[id(inst.channels)] for inst in instances])
+        find = bool((tree.on[rows] != refs).any())
+        tree.on[rows] = refs
 
     deriv = np.stack([inst.channels for inst in instances])
     classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
@@ -451,13 +569,19 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             thresholds, ranked = _ranked_thresholds(deriv[:, attr], config.max_threshold_candidates, attr, z)
             if thresholds.size:
                 searched.append((attr, thresholds, ranked))
+        points = n - z
+        own = tree is not None and points <= _OWN_POINTS  # kept between the tree's nodes
+        if own and find and searched:
+            # row k * m + i: instance i's points of the k-th searched attribute, ascending
+            order = deriv.argsort(axis=2).astype(np.uint8)[:, [attr for attr, *_ in searched]]
+            order = order.transpose(1, 0, 2).reshape(-1, points)
         if z == top:  # the floats of the last degree are gone before any window grows
             deriv = None
-        points = n - z
         # an attribute's two window buffers and its sparse table, per instance
         cells = 2 * ((points + 1) ** 2 // 4) + points * points.bit_length()
         per_batch = max(1, _TABLE_CELLS // (cells * m))
-        reads = _window_reads(box, points)
+        if not own or find:
+            reads = _window_reads(box, points)
         for first in range(0, len(searched), per_batch):
             batch = searched[first : first + per_batch]
             b = len(batch)
@@ -465,7 +589,24 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             t = int(counts.max())
             # contiguous: a column slice of a wider array grew windows 40 % slower
             ranks = np.concatenate([ranked for *_, ranked in batch], axis=1, dtype=np.min_scalar_type(-t - 1))
-            crits = _streamed_critical_ranks(ranks, t, reads, r, back, sweeps, n)
+            if not own:
+                crits = _streamed_critical_ranks(ranks, t, reads, r, back, sweeps, n)
+            else:
+                # the batch's columns of the tree, a * rows + row, as in ranks
+                columns = (np.array([attr for attr, *_ in batch])[:, None] * tree.on.size + rows).ravel()
+                if find:
+                    ordered = order[first * m : (first + b) * m]
+                    at = _sorted_at(ordered)
+                    owned = np.empty(ranks.shape, dtype=np.uint8)
+                    owned.reshape(-1)[at] = np.arange(1, points + 1, dtype=np.uint8)
+                    table = _rank_table(at, ranks, t)
+                    del at  # before the windows grow
+                    found = _streamed_critical_ranks(owned, points + 1, reads, r, back, sweeps, n, 0)
+                    tree.keep(z, columns, ordered, found, held_at)
+                else:
+                    ordered, found = tree.read(z, columns, held_at)
+                    table = _rank_table(_sorted_at(ordered), ranks, t)
+                crits = _node_ranks(found, table)
             # bincount offsets: row (a, r, rank + 1, class) of a (B, R, t + 2,
             # q) table, laid out as crit is, (R, B * m)
             cell = np.arange(b) * r + np.arange(r)[:, None]
@@ -560,12 +701,27 @@ def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
     A node becomes a leaf when its entropy is at or below the purity
     threshold, when it holds fewer than twice the minimum leaf size, or when
     no candidate split has positive gain.
+
+    Each instance's windows grow once per reference it stands on: at the
+    root, and again below each satisfied modal edge that moves it onto a
+    witness.  Every other node maps the critical values kept then to its
+    own thresholds (:class:`_Seen`, while N_z <= :data:`_OWN_POINTS`), so a
+    chain of unsatisfied or ``eq`` splits, and so every j48 tree, grows its
+    windows at the root only.  What is kept, one byte per (instance,
+    attribute, degree) and point or (sweep, relation), is freed on return.
     """
     if not dataset.instances:
         raise ValueError("cannot grow a tree from an empty dataset")
     _check_differences(dataset, config.max_derivative)
-    instances = [Instance(inst.channels, inst.class_index) for inst in dataset.instances]
-    return _grow(instances, dataset.class_count, config)
+    # a view per instance, so that its identity names the instance's row
+    # below every split, which shares it
+    instances = [Instance(inst.channels.view(), inst.class_index) for inst in dataset.instances]
+    rows = {id(inst.channels): k for k, inst in enumerate(instances)}
+    token = _growing.set(_Seen(rows, dataset.attribute_count, config))
+    try:
+        return _grow(instances, dataset.class_count, config)
+    finally:
+        _growing.reset(token)
 
 
 def static_series_dataset(

@@ -716,6 +716,173 @@ def test_grow_tree_matches_reference_learner_property(case):
     assert _tree_shape(grow_tree(dataset, config)) == want
 
 
+def _racket_like_dataset():
+    """48 Gaussian series of 5 channels and 24 points in four classes; class
+    k carries a bump on channel k and a dip on channel k + 1, as the racket
+    twin of acceptance criterion 6 does."""
+    rng = np.random.default_rng(5)
+    instances = []
+    for i in range(48):
+        k = i % 4
+        channels = rng.normal(0.0, 0.5, size=(5, 24))
+        channels[k, 3 + 4 * k : 9 + 4 * k] += 2.5
+        channels[k + 1, 3 + 4 * k : 9 + 4 * k] -= 1.5
+        instances.append(Instance(channels, k))
+    return TemporalDataset(instances, [f"c{j}" for j in range(5)], [f"k{j}" for j in range(4)], 24)
+
+
+def _windowed_searches(dataset, config):
+    """Grow a tree, and per split search its instances, those of them that
+    moved since their last search (all of them at the root) and the columns
+    of ranks whose windows it grew."""
+    searches, last = [], {}
+    search, windows = induction.best_split, induction._sorted_windows
+
+    def counted_search(instances, config):
+        moved = sum(last.get(id(inst.channels)) != inst.reference for inst in instances)
+        searches.append([len(instances), moved, 0])
+        last.update((id(inst.channels), inst.reference) for inst in instances)
+        return search(instances, config)
+
+    def counted_windows(ranks):
+        searches[-1][2] += ranks.shape[1]
+        return windows(ranks)
+
+    with mock.patch.object(induction, "best_split", counted_search), \
+            mock.patch.object(induction, "_sorted_windows", counted_windows):
+        tree = grow_tree(dataset, config)
+    return tree, searches
+
+
+def test_grow_tree_grows_windows_only_at_the_root_of_a_one_reference_chain():
+    """Every node of the racket-like tree stands on [0, 1] (each satisfied
+    side is a leaf), so the windows grow once, at the root, over every
+    attribute and instance, and every node below reads the critical values
+    the root kept."""
+    dataset = _racket_like_dataset()
+    tree, searches = _windowed_searches(dataset, LearnerConfig(alpha_grid=(0.6, 0.9)))
+    assert len(list(iter_nodes(tree))) >= 3
+    assert searches[0] == [48, 48, 5 * 48]
+    assert [columns for *_, columns in searches[1:]] == [0] * (len(searches) - 1)
+
+
+@pytest.mark.parametrize("alpha, min_leaf, top", [(1.0, 2, 0), (0.7, 1, 2)])
+def test_grow_tree_grows_windows_again_only_for_moved_instances(tmp_path, alpha, min_leaf, top):
+    """On the planted Rise/Fall data, each satisfied modal node moves its
+    instances onto witnesses and the nodes below split again, from there or
+    from where their instances stood.  A search grows windows for exactly
+    the instances that moved since their last search, once per searched
+    degree of the one attribute, and none where they all stand still."""
+    from test_golden_outputs import _rise_and_fall
+    from tstrees.dataio import load_dataset
+
+    _rise_and_fall(tmp_path / "rise_and_fall.csv")
+    dataset = load_dataset(tmp_path / "rise_and_fall.csv", "semicolon")
+    config = LearnerConfig(alpha_grid=(alpha,), min_leaf_size=min_leaf, max_derivative=top)
+    _, searches = _windowed_searches(dataset, config)
+    splittable = [(moved, columns) for size, moved, columns in searches if size >= 2 * min_leaf]
+    assert [columns for _, columns in splittable] == [(top + 1) * moved for moved, _ in splittable]
+    # the root, at least one node below it that moved, and one that stood still
+    assert splittable[0][0] == 36
+    assert any(moved for moved, _ in splittable[1:]) and any(not moved for moved, _ in splittable)
+
+
+@st.composite
+def _kept_nodes(draw):
+    """1 to 3 attributes of 2 to 12 series of 2 to 30 points, each series on
+    one of a pool of 1 to 4 references, at a degree up to 2 (and below N),
+    each attribute on a coarse grid (tied values) or a fine one; a threshold
+    cap of 1, 3 or 100, 1 to 3 alphas, and a node: a non-empty subset of the
+    series."""
+    b, m, n = draw(st.integers(1, 3)), draw(st.integers(2, 12)), draw(st.integers(2, 30))
+    interval = st.integers(0, n - 1).flatmap(
+        lambda x: st.integers(x + 1, n).map(lambda y: Interval(x, y))
+    )
+    pool = draw(st.lists(interval, min_size=1, max_size=4, unique=True))
+    references = [draw(st.sampled_from(pool)) for _ in range(m)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.array(draw(st.lists(st.sampled_from((2, 1000)), min_size=b, max_size=b)))[:, None, None]
+    series = rng.integers(-scale, scale + 1, size=(b, m, n)) / scale
+    alphas = draw(st.lists(st.sampled_from((0.33, 0.5, 0.7, 1.0)), min_size=1, max_size=3))
+    node = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    return series, references, draw(st.integers(0, min(2, n - 1))), draw(st.sampled_from((1, 3, 100))), alphas, node
+
+
+def _critical_rank_inputs(references, n, points):
+    """The window reads of every relation, in rank order, from the
+    references, and each series' index among their distinct ones (None on
+    one reference)."""
+    distinct, back = np.unique([ref.x * (n + 1) + ref.y for ref in references], return_inverse=True)
+    box = relation_boxes(sorted(Rel, key=lambda r: r.rank), *np.divmod(distinct, n + 1), n)
+    return induction._window_reads(box, points), back if distinct.size > 1 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kept_nodes())
+# 1 threshold: every point ranks 0 or 1
+@example((_SHUFFLED[None], _POOL, 0, 1, [0.55, 1.0], [0, 2, 3]))
+# two attributes with 2 and 3 thresholds at degree 2, over three references
+@example((np.stack([_SHUFFLED, np.round(_SHUFFLED / 40)]), _POOL, 2, 3, [0.33, 1.0], [1, 2, 3]))
+def test_node_ranks_of_kept_own_rank_critical_values_equal_the_streamed_ones_property(case):
+    """Critical values found once over every series as own ranks (each
+    series ranked among its own values), on its own reference, then mapped
+    to the thresholds of a node of some of the series, equal the critical
+    ranks that :func:`_streamed_critical_ranks` finds on the node's ranks,
+    for every relation and (comparator, alpha)."""
+    series, references, z, cap, alphas, node = case
+    b, m, n = series.shape
+    points = n - z
+    relations = sorted(Rel, key=lambda r: r.rank)
+    sweeps = [(c, a) for c in (Comparator.LE, Comparator.GT) for a in alphas]
+    derivs = np.diff(series, n=z, axis=2)
+    # found once, column a * m + i
+    order = derivs.reshape(b * m, points).argsort(axis=1)
+    owned = np.empty((points, b * m), dtype=np.uint8)
+    owned.reshape(-1)[induction._sorted_at(order)] = np.arange(1, points + 1)
+    reads, back = _critical_rank_inputs(references, n, points)
+    kept = induction._streamed_critical_ranks(owned, points + 1, reads, len(relations), back, sweeps, n, 0)
+    # the node's thresholds and ranks
+    columns, ranked = [], []
+    for a in range(b):
+        found, ranks = induction._ranked_thresholds(derivs[a, node], cap, a, z)
+        if found.size:
+            columns.extend(a * m + i for i in node)
+            ranked.append((found.size, ranks))
+    if not ranked:
+        return
+    t = max(size for size, _ in ranked)
+    ranks = np.concatenate([ranks for _, ranks in ranked], axis=1, dtype=np.min_scalar_type(-t - 1))
+    reads, back = _critical_rank_inputs([references[i] for i in node], n, points)
+    want = induction._streamed_critical_ranks(ranks, t, reads, len(relations), back, sweeps, n)
+    table = induction._rank_table(induction._sorted_at(order[columns]), ranks, t)
+    got = induction._node_ranks([crit[:, columns] for crit in kept], table)
+    for (comparator, alpha), g, w in zip(sweeps, got, want):
+        assert g.dtype == w.dtype and (g == w).all(), (comparator, alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batched_nodes(), st.data())
+def test_best_split_in_a_tree_equals_a_public_search_property(node, data):
+    """Inside a tree, a node that finds its critical values as own ranks and
+    keeps them, a node below it whose instances stand still and read them
+    back, and a node whose instances moved and find them again each split
+    as a public search of the same instances does, which finds them on its
+    node ranks."""
+    instances, config = node
+    rows = {id(inst.channels): k for k, inst in enumerate(instances)}
+    below = [instances[k] for k in sorted(data.draw(st.sets(st.integers(0, len(instances) - 1), min_size=1)))]
+    n = instances[0].series_length
+    moved = [inst.with_reference(data.draw(st.sampled_from(oracles.all_intervals(n)).map(lambda iv: Interval(*iv))))
+             for inst in below]
+    want = [best_split(part, config) for part in (instances, below, moved)]
+    token = induction._growing.set(induction._Seen(rows, instances[0].channel_count, config))
+    try:
+        got = [best_split(part, config) for part in (instances, below, moved)]
+    finally:
+        induction._growing.reset(token)
+    assert got == want
+
+
 def test_grow_tree_single_class_is_leaf():
     instances = [Instance(np.array([[1.0, 2.0, 3.0]]), 0) for _ in range(5)]
     ds = TemporalDataset(instances, ["a0"], ["only"], 3)
