@@ -10,7 +10,8 @@ by :class:`tstrees.core.LearnerConfig`).  Both are monotone in the
 threshold, so they are searched by a sweep over sorted values, as C4.5
 searches a numeric attribute (Quinlan 1993).  One argsort per (attribute,
 degree) of the node's values gives its range check, its candidate
-thresholds and each point's rank among them (:func:`_ranked_thresholds`).
+thresholds and, by searching the thresholds in the sorted values, each
+point's rank among them (:func:`_ranked_thresholds`).
 ``np.unique`` is not used: on numpy >= 2.3 its hash set grew a fresh heap
 by 1.2 MiB, where a sort pages in 256 KiB of code.  An interval of p
 data-bearing points satisfies ``A <= t`` at alpha exactly when its k-th
@@ -45,8 +46,9 @@ Spread over 20 distinct references it peaks at 2.6, 6.0 and 20 MiB and
 takes 0.10 and 0.59 s at N = 150 and 300, where a table of every window per
 sweep took 23, 87 and 333 MiB and 0.39 and 2.0 s.
 
-Within one :func:`grow_tree` call the windows grow once per (instance,
-reference), not once per node (:class:`_Seen`).  A critical rank is the
+Within one :func:`grow_tree` call the channels are stacked once and the
+windows grow once per (instance, reference), not once per node
+(:class:`_Seen`).  A critical rank is the
 number of a node's thresholds below the critical value, a non-decreasing
 function of it, and order statistics, min and max commute with such a
 function.  So a node of a tree grows its windows on each instance's own
@@ -61,7 +63,8 @@ its windows on its node ranks.
 
 Candidates are scored together.  Each (batch, degree, comparator, alpha)
 yields one array of satisfying-side class counts, scored in one array pass
-that equals :func:`info_split` bit for bit (:func:`_split_scorer`).  Its
+that equals :func:`info_split` bit for bit (:func:`_split_scorer`), from a
+table of entropy terms that a tree builds once, at its root.  Its
 rows run in (attribute, relation order, threshold) order, so its first
 minimum is its canonical winner, and only that winner meets the total
 canonical tie-break across sweeps and batches; the winner is independent of
@@ -188,22 +191,32 @@ _TABLE_CELLS = 2**19
 def _ranked_thresholds(deriv: np.ndarray, cap: int, attr: int, z: int) -> tuple[np.ndarray, np.ndarray]:
     """The ascending candidate thresholds of one attribute's (m, points)
     degree-``z`` values ``deriv`` and the (points, m) ranks of its values
-    among them, from one argsort of its point-major values: searching them
-    in sorted order and scattering the ranks back takes about half the time
-    of a search of the unsorted values on 96 x 30 values.  Entry [p, i] is
-    the number of thresholds below point p + 1 of instance i, so ``x <=
+    among them, from one argsort of its point-major values.  Entry [p, i]
+    is the number of thresholds below point p + 1 of instance i, so ``x <=
     t_j`` iff rank <= j and ``x > t_j`` iff rank > j, in the smallest type
     that holds -t - 1 .. t for t thresholds (int8 up to 127).  NaN and inf
-    sort to the ends: a :class:`DataFormatError` naming attribute ``attr``."""
+    sort to the ends: a :class:`DataFormatError` naming attribute ``attr``.
+
+    The ranks come from searching the at most ``cap`` thresholds in the
+    sorted values, not the m * points values in the thresholds (11 against
+    27 us on 96 x 30 values): threshold j first falls below the sorted value
+    at ``searchsorted(ordered, t_j, "right")``, so the running count of
+    those positions is each sorted value's rank.  A threshold at or above
+    the largest value (a midpoint that rounds up to it) lands past the end
+    and counts for no value.  The ranks are scattered back through the
+    permutation."""
     m, points = deriv.shape
+    size = points * m
     values = deriv.T.ravel()
     order = values.argsort()
     ordered = values[order]
     if not (-np.inf < ordered[0] and ordered[-1] < np.inf):
         raise DataFormatError(f"attribute {attr}: degree-{z} differences out of float64 range")
     thresholds = _midpoints(ordered, cap)
-    ranks = np.empty(points * m, dtype=np.min_scalar_type(-thresholds.size - 1))
-    ranks[order] = np.searchsorted(thresholds, ordered, side="left")
+    ranks = np.empty(size, dtype=np.min_scalar_type(-thresholds.size - 1))
+    # np.add.accumulate, not .cumsum(): see the type-cache note in best_split
+    first_above = np.bincount(np.searchsorted(ordered, thresholds, "right"), minlength=size + 1)
+    ranks[order] = np.add.accumulate(first_above[:-1], dtype=ranks.dtype)
     return thresholds, ranks.reshape(points, m)
 
 
@@ -387,11 +400,21 @@ _OWN_POINTS = 254
 
 
 class _Seen:
-    """The critical values that the nodes of one :func:`grow_tree` call
-    share.  An instance's own rank of its k-th smallest value among its own
-    values is k.  Its critical values as own ranks depend only on its series
-    and its reference, not on a node's thresholds.  So the root, and every
-    node below a satisfied modal edge, whose instances have all moved onto
+    """What the nodes of one :func:`grow_tree` call share: the tree's
+    channels, its entropy terms and its critical values.
+
+    ``stack`` holds the (rows, attributes, N) channels of the tree's
+    instances, stacked once; a node takes its rows from it
+    (:meth:`channels`), and the root, whose rows are all of them in order,
+    reads the stack itself.  ``terms`` is the :func:`_entropy_terms` table
+    at the tree's size and largest class count, which covers every node of
+    the tree, since a node's partition sizes and class counts are at most
+    the root's, and each cell does not depend on the node.
+
+    An instance's own rank of its k-th smallest value among its own values
+    is k.  Its critical values as own ranks depend only on its series and
+    its reference, not on a node's thresholds.  So the root, and every node
+    below a satisfied modal edge, whose instances have all moved onto
     witnesses, finds and keeps them, and every other node reads them.
 
     ``rows`` maps the identity of each instance's channel matrix to its row,
@@ -406,12 +429,22 @@ class _Seen:
     attributes that node searched too (constant values stay constant on a
     subset), and only entries that node wrote."""
 
-    def __init__(self, rows: dict, attributes: int, config: LearnerConfig) -> None:
-        self.rows = rows
-        self.on = np.full(len(rows), -1)
-        self.shape = (len(config.comparators) * len(config.alpha_grid), len(config.relations), attributes * len(rows))
+    def __init__(self, instances: Sequence[Instance], config: LearnerConfig) -> None:
+        self.rows = {id(inst.channels): k for k, inst in enumerate(instances)}
+        self.stack = np.stack([inst.channels for inst in instances])
+        total, attributes = self.stack.shape[:2]
+        largest = int(np.bincount([inst.class_index for inst in instances]).max())
+        self.terms = _entropy_terms(total, largest + 1, config.min_leaf_size)
+        self.on = np.full(total, -1)
+        self.shape = (len(config.comparators) * len(config.alpha_grid), len(config.relations), attributes * total)
         self.orders: dict[int, np.ndarray] = {}
         self.crits: dict[int, np.ndarray] = {}
+
+    def channels(self, rows: np.ndarray) -> np.ndarray:
+        """The (m, attributes, N) channels of the instances at ``rows``."""
+        if rows.size == self.on.size and (rows == np.arange(rows.size)).all():
+            return self.stack
+        return self.stack.take(rows, axis=0)
 
     def keep(self, z: int, columns: np.ndarray, ordered: np.ndarray, found: list, held_at: np.ndarray) -> None:
         """Write ``columns``: their (columns, N_z) ascending ``ordered``
@@ -462,7 +495,23 @@ def _node_ranks(crits, table: np.ndarray) -> list[np.ndarray]:
     return [table.reshape(-1).take(crit + offsets) for crit in crits]
 
 
-def _split_scorer(parent_counts: np.ndarray, low: int):
+def _entropy_terms(m: int, width: int, low: int) -> np.ndarray:
+    """The (m - 2 low + 1, width) entropy terms of the partitions of an
+    m-instance node with minimum leaf size ``low`` and counts below
+    ``width``: entry [s - low, c] is (c / s) * log2(c / s), with the float
+    operations of :func:`info` (``math.log2``, which ``np.log2`` misses by
+    an ulp on some fractions), and 0.0 where c is 0, as :func:`info` skips
+    it.  A cell does not depend on m, so the table of a larger node, or of
+    more classes, serves a smaller one."""
+    sizes = np.arange(low, m - low + 1)[:, None]
+    counts = np.arange(width)
+    # p = 1 where c is 0 (or above s, never read) gives the 0.0
+    p = np.where((counts > 0) & (counts <= sizes), counts / sizes, 1.0)
+    logs = np.fromiter(map(math.log2, p.ravel().tolist()), np.float64, p.size)
+    return p * logs.reshape(p.shape)
+
+
+def _split_scorer(parent_counts: np.ndarray, low: int, terms: Optional[np.ndarray] = None):
     """Batch form of :func:`info_split` for the binary splits of one node.
 
     ``parent_counts`` holds the node's m instances per class and ``low`` the
@@ -470,20 +519,18 @@ def _split_scorer(parent_counts: np.ndarray, low: int):
     satisfying-side class counts, each row summing to a size in
     [low, m - low], and returns the r values of
     ``info_split(m, [c1, parent_counts - c1])``, bit for bit: the entropy
-    terms come from a table built with the float operations of :func:`info`
-    and are added in class order, and the two sides are weighted and added as
-    ``info_split`` adds them.  The table is built per call and covers only
-    sizes low .. m - low and counts up to the largest class count.
+    terms come from an :func:`_entropy_terms` table and are added in class
+    order, and the two sides are weighted and added as ``info_split`` adds
+    them.  ``terms`` is a table built for this node or a larger one, with
+    the same ``low`` and at least its largest class count (a tree builds
+    one at its root, :class:`_Seen`); without it, one is built for this
+    node alone.
     """
     m = int(parent_counts.sum())
-    width = int(parent_counts.max()) + 1
-    sizes = np.arange(low, m - low + 1)[:, None]
-    counts = np.arange(width)
-    # terms[s - low, c] = (c / s) * log2(c / s); p = 1 where c is 0 (or
-    # above s, never read) gives the 0.0 that info skips
-    p = np.where((counts > 0) & (counts <= sizes), counts / sizes, 1.0)
-    logs = np.fromiter(map(math.log2, p.ravel().tolist()), np.float64, p.size)
-    terms = (p * logs.reshape(p.shape)).ravel()
+    if terms is None:
+        terms = _entropy_terms(m, int(parent_counts.max()) + 1, low)
+    width = terms.shape[1]
+    terms = terms.ravel()
 
     def side(n: np.ndarray, columns) -> np.ndarray:
         # one class at a time, so that no (r, q) temporary is made
@@ -514,8 +561,11 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
 
     A call from :func:`grow_tree` reuses the critical values that the
     tree's earlier nodes kept for instances that still stand where they
-    were found, and keeps those it finds (see :class:`_Seen`); the result
-    is the same.  Any other call finds them all and keeps nothing.
+    were found, and keeps those it finds; it takes its channels from the
+    tree's stack and scores with the tree's entropy-term table (see
+    :class:`_Seen`).  The result is the same.  Any other call stacks its
+    instances' channels, builds a table for its own node, finds every
+    critical value and keeps nothing.
     """
     m = len(instances)
     low, high = config.min_leaf_size, m - config.min_leaf_size
@@ -548,12 +598,12 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
         find = bool((tree.on[rows] != refs).any())
         tree.on[rows] = refs
 
-    deriv = np.stack([inst.channels for inst in instances])
+    deriv = np.stack([inst.channels for inst in instances]) if tree is None else tree.channels(rows)
     classes = np.array([inst.class_index for inst in instances], dtype=np.intp)
     q = int(classes.max()) + 1
     parent_counts = np.bincount(classes, minlength=q)
     parent_info = info(parent_counts.tolist())
-    score = _split_scorer(parent_counts, low)
+    score = _split_scorer(parent_counts, low, None if tree is None else tree.terms)
     best_key: Optional[tuple] = None
     best_cand: Optional[SplitCandidate] = None
 
@@ -616,23 +666,38 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
             tally = np.min_scalar_type(-m - 1)  # holds every count 0 .. m
             for (comparator, alpha), crit in zip(sweeps, crits):
                 smallest = comparator is Comparator.LE
+                # each array of a sweep is freed before the next sweep's
+                # hist, the largest, is made
+                slot = crit.astype(np.intp)
+                slot *= q
+                slot += base
+                hist = np.bincount(slot.ravel(), minlength=b * r * (t + 2) * q)
+                del slot
                 # le[a, r, j, c]: instances of class c whose critical rank
-                # for attribute a under relations[r] is <= j
-                hist = np.bincount((base + q * crit.astype(np.intp)).ravel(), minlength=b * r * (t + 2) * q)
+                # for attribute a under relations[r] is <= j.
                 # np.add.accumulate, not .cumsum(): on numpy 2.4 the method
                 # form leaves fresh name strings in CPython's type cache
                 le = np.add.accumulate(hist.reshape(b, r, t + 2, q), axis=2, dtype=tally)[:, :, 1 : t + 1]
                 del hist
-                below = le.sum(axis=3)
-                sizes = below if smallest else m - below
+                # the <= side's sizes, summed class by class (le.sum(axis=3)
+                # took 42 against 8 us on the racket-train root), in intp:
+                # int8 sums would page in numpy's int8 loops, which nothing
+                # else uses.  The > side's sizes, m - below, are admissible
+                # and repeat exactly where below is and does
+                below = le[..., 0].astype(np.intp)
+                for c in range(1, q):
+                    below += le[..., c]
                 # a repeated size is the same partition at a larger threshold,
                 # whose key is larger: keep the first only
-                fresh = (sizes >= low) & (sizes <= high) & real
+                fresh = (below >= low) & (below <= high) & real
                 fresh[..., 1:] &= below[..., 1:] != below[..., :-1]
+                del below
                 attr_at, rel_at, thr_at = np.nonzero(fresh)
+                del fresh
+                c1 = le[attr_at, rel_at, thr_at]
+                del le
                 if not attr_at.size:
                     continue
-                c1 = le[attr_at, rel_at, thr_at]
                 if not smallest:
                     np.subtract(parent_counts, c1, out=c1)
                 # rows run in (attribute, relation rank, threshold) order, so
@@ -680,12 +745,11 @@ def _grow(instances: list[Instance], q: int, config: LearnerConfig) -> DecisionT
     )
 
 
-def _check_differences(dataset: TemporalDataset, max_derivative: int) -> None:
+def _check_differences(stack: np.ndarray, dataset: TemporalDataset, max_derivative: int) -> None:
     """Refuse data whose differences of a searched degree leave float64
-    range, naming the first such channel: their thresholds would be inf."""
-    if max_derivative == 0:
-        return
-    deriv = np.stack([inst.channels for inst in dataset.instances])
+    range, naming the first such channel: their thresholds would be inf.
+    ``stack`` holds the dataset's (m, attributes, N) channels."""
+    deriv = stack
     for z in range(1, min(max_derivative, dataset.series_length - 1) + 1):
         with np.errstate(over="ignore"):  # an overflow shows as inf, refused below
             deriv = np.diff(deriv, axis=2)
@@ -708,16 +772,18 @@ def grow_tree(dataset: TemporalDataset, config: LearnerConfig) -> DecisionTree:
     own thresholds (:class:`_Seen`, while N_z <= :data:`_OWN_POINTS`), so a
     chain of unsatisfied or ``eq`` splits, and so every j48 tree, grows its
     windows at the root only.  What is kept, one byte per (instance,
-    attribute, degree) and point or (sweep, relation), is freed on return.
+    attribute, degree) and point or (sweep, relation), is freed on return,
+    with the tree's stacked channels and its entropy-term table, which
+    every node reads instead of building its own.
     """
     if not dataset.instances:
         raise ValueError("cannot grow a tree from an empty dataset")
-    _check_differences(dataset, config.max_derivative)
     # a view per instance, so that its identity names the instance's row
     # below every split, which shares it
     instances = [Instance(inst.channels.view(), inst.class_index) for inst in dataset.instances]
-    rows = {id(inst.channels): k for k, inst in enumerate(instances)}
-    token = _growing.set(_Seen(rows, dataset.attribute_count, config))
+    tree = _Seen(instances, config)
+    _check_differences(tree.stack, dataset, config.max_derivative)
+    token = _growing.set(tree)
     try:
         return _grow(instances, dataset.class_count, config)
     finally:

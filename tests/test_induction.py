@@ -644,16 +644,22 @@ def _split_batches(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_split_batches())
-@example(([9, 66], 1, [[0, 1]]))  # np.log2(65 / 74) is 1 ulp off math.log2 (numpy 2.4, x86-64)
-def test_split_scorer_equals_info_split_property(batch):
+@given(_split_batches(), st.integers(1, 200), st.integers(1, 100))
+@example(([9, 66], 1, [[0, 1]]), 1, 1)  # np.log2(65 / 74) is 1 ulp off math.log2 (numpy 2.4, x86-64)
+@example(([9, 66], 1, [[0, 1]]), 200, 100)
+def test_split_scorer_equals_info_split_property(batch, more, wider):
+    """Scored with a table of its own, or with one built for a node of
+    ``more`` instances more and a largest class count ``wider`` larger, as a
+    tree's root builds one for every node below it, each row equals
+    :func:`info_split` bit for bit."""
     parent, low, rows = batch
     parent_counts = np.array(parent, dtype=np.intp)
     c1 = np.array(rows, dtype=np.intp).reshape(-1, len(parent))
-    got = _split_scorer(parent_counts, low)(c1)
     m = sum(parent)
-    for row, si in zip(c1.tolist(), got.tolist()):
-        assert si == info_split(m, [row, [p - c for p, c in zip(parent, row)]])
+    larger = induction._entropy_terms(m + more, max(parent) + 1 + wider, low)
+    for got in (_split_scorer(parent_counts, low)(c1), _split_scorer(parent_counts, low, larger)(c1)):
+        for row, si in zip(c1.tolist(), got.tolist()):
+            assert si == info_split(m, [row, [p - c for p, c in zip(parent, row)]])
 
 
 def _tree_shape(tree):
@@ -869,13 +875,12 @@ def test_best_split_in_a_tree_equals_a_public_search_property(node, data):
     as a public search of the same instances does, which finds them on its
     node ranks."""
     instances, config = node
-    rows = {id(inst.channels): k for k, inst in enumerate(instances)}
     below = [instances[k] for k in sorted(data.draw(st.sets(st.integers(0, len(instances) - 1), min_size=1)))]
     n = instances[0].series_length
     moved = [inst.with_reference(data.draw(st.sampled_from(oracles.all_intervals(n)).map(lambda iv: Interval(*iv))))
              for inst in below]
     want = [best_split(part, config) for part in (instances, below, moved)]
-    token = induction._growing.set(induction._Seen(rows, instances[0].channel_count, config))
+    token = induction._growing.set(induction._Seen(instances, config))
     try:
         got = [best_split(part, config) for part in (instances, below, moved)]
     finally:

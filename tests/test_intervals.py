@@ -3,14 +3,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tstrees.core import (
+    ROOT_REFERENCE,
     Comparator,
     DataFormatError,
     Instance,
     Interval,
     IntervalRelation,
+    Node,
     TemporalDecision,
+    leaf_for_counts,
 )
+from tstrees.induction import classify_all
 from tstrees.intervals import (
+    WitnessResult,
     _ratio,
     allen_related,
     check_decision,
@@ -272,6 +277,32 @@ def test_check_decision_dimension_error():
     decision = TemporalDecision(Rel.A, 3, 0, Comparator.LE, 1.0, 1.0)
     with pytest.raises(ValueError):
         check_decision(inst, decision)
+
+
+def test_routing_needs_the_attribute_in_every_instance_but_not_equal_channel_counts():
+    """The router names the attribute and the fewest channels when an
+    instance lacks the decision's attribute, in one check, a batch split
+    and a tree walk alike; instances with differing channel counts route as
+    each does alone when all of them have it."""
+    decision = TemporalDecision(Rel.A, 1, 0, Comparator.GT, 100.0, 1.0)
+    tree = Node(decision, leaf_for_counts((1, 0)), leaf_for_counts((0, 1)))
+    wide = Instance(np.array([O2, PR, TE]), 0)
+    mid = Instance(np.array([TE, O2]), 1)
+    narrow = Instance(np.array([TE]), 1)
+    message = "^decision uses attribute 1 but an instance has 1 channels$"
+    with pytest.raises(ValueError, match=message):
+        check_decision(narrow, decision)
+    with pytest.raises(ValueError, match=message):
+        split_dataset([wide, narrow, mid], decision)
+    with pytest.raises(ValueError, match=message):
+        classify_all(tree, [wide, narrow])
+
+    assert check_decision(wide, decision) == WitnessResult(True, Interval(1, 2))
+    assert check_decision(mid, decision) == WitnessResult(False, None)
+    held, failed = split_dataset([wide, mid], decision)
+    assert [(inst.channels is wide.channels, inst.reference) for inst in held] == [(True, Interval(1, 2))]
+    assert [(inst.channels is mid.channels, inst.reference) for inst in failed] == [(True, ROOT_REFERENCE)]
+    assert classify_all(tree, [wide, mid]) == [(0, (1, 0)), (1, (0, 1))]
 
 
 def test_check_decision_against_slow_oracle(rng):
