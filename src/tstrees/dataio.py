@@ -48,6 +48,10 @@ def _build_dataset(
     length (at least 2), and finite values.  Labels become class indices in
     first-appearance order.  Errors name a case by ``where`` and a cell by
     ``cell_name(channel)``; ``empty`` is the error for no cases at all.
+
+    The first case sets the length cell by cell; a later case is read in one
+    conversion, and only a case that conversion rejects is read again cell by
+    cell, which names the error.
     """
     labels: dict[str, int] = {}
     instances: list[Instance] = []
@@ -60,27 +64,10 @@ def _build_dataset(
             width = len(cells)
         if len(cells) != width:
             raise DataFormatError(f"{where}: {len(cells)} channels, expected {width}")
-        rows = []
-        for c, cell in enumerate(cells):
-            try:
-                values = list(map(float, filter(str.strip, cell.split(sep))))
-            except ValueError:
-                raise _cell_error(cell, sep, f"{where}, {cell_name(c)}") from None
-            if not values:
-                raise DataFormatError(f"{where}, {cell_name(c)}: empty cell")
-            if length is None:
-                length = len(values)
-                if length < 2:
-                    raise DataFormatError(f"{where}: series length 1, need at least 2")
-            if len(values) != length:
-                raise DataFormatError(
-                    f"{where}, {cell_name(c)}: {len(values)} values, expected {length}"
-                )
-            rows.append(values)
-        channels = np.array(rows)
-        if not np.isfinite(channels).all():
-            c = int(np.isfinite(channels).all(axis=1).argmin())
-            raise _cell_error(cells[c], sep, f"{where}, {cell_name(c)}")
+        channels = None if length is None else _read_case(cells, sep, width, length)
+        if channels is None:
+            channels = _read_cells(cells, sep, length, where, cell_name)
+            length = channels.shape[1]
         instances.append(Instance(channels, labels.setdefault(label, len(labels))))
     if not instances:
         raise DataFormatError(empty)
@@ -90,6 +77,52 @@ def _build_dataset(
         class_names=list(labels),
         series_length=length,
     )
+
+
+def _read_case(cells: list[str], sep: str, width: int, length: int) -> Optional[np.ndarray]:
+    """The case's (width, length) channels from one split and one ``float``
+    map, or None unless every cell holds ``length`` finite float literals.
+
+    A blank token fails ``float``, so a None case may still be well formed
+    (``_read_cells`` skips blank tokens)."""
+    if any(cell.count(sep) + 1 != length for cell in cells):
+        return None
+    try:
+        values = list(map(float, sep.join(cells).split(sep)))
+    except ValueError:
+        return None
+    channels = np.array(values, dtype=np.float64).reshape(width, length)
+    return channels if np.isfinite(channels).all() else None
+
+
+def _read_cells(
+    cells: list[str], sep: str, length: Optional[int], where: str, cell_name: Callable[[int], str]
+) -> np.ndarray:
+    """The case's channels read cell by cell, skipping blank tokens; the
+    first case's ``length`` is None and its first cell sets it.  Raises the
+    error of the first bad cell."""
+    rows = []
+    for c, cell in enumerate(cells):
+        try:
+            values = list(map(float, filter(str.strip, cell.split(sep))))
+        except ValueError:
+            raise _cell_error(cell, sep, f"{where}, {cell_name(c)}") from None
+        if not values:
+            raise DataFormatError(f"{where}, {cell_name(c)}: empty cell")
+        if length is None:
+            length = len(values)
+            if length < 2:
+                raise DataFormatError(f"{where}: series length 1, need at least 2")
+        if len(values) != length:
+            raise DataFormatError(
+                f"{where}, {cell_name(c)}: {len(values)} values, expected {length}"
+            )
+        rows.append(values)
+    channels = np.array(rows)
+    if not np.isfinite(channels).all():
+        c = int(np.isfinite(channels).all(axis=1).argmin())
+        raise _cell_error(cells[c], sep, f"{where}, {cell_name(c)}")
+    return channels
 
 
 def _cell_error(cell: str, sep: str, where: str) -> DataFormatError:

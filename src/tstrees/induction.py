@@ -35,7 +35,7 @@ windows of each size are held, and no table of every window is built.  On
 one reference (the root, for one), a relation's fold is a min (or max) over
 a basic slice of the order-statistic row.  On several (below a satisfied
 modal edge), a sparse table of that row gives every (relation, instance)
-run as the fold of two entries (:func:`_window_reads`).  Per (comparator,
+run as the fold of two entries (:class:`_SparseReads`).  Per (comparator,
 alpha), cumulative class counts over the critical values give the
 partition at every (attribute, relation, threshold) of the batch at once.
 Only the first threshold of each distinct partition is scored.
@@ -276,28 +276,22 @@ def _window_runs(box: np.ndarray, points: int, size) -> tuple[np.ndarray, np.nda
     return first, np.where((r1 <= r2) & (c1 <= c2), stop, first)
 
 
-def _window_reads(box: np.ndarray, points: int) -> list:
+def _window_reads(box: np.ndarray, points: int) -> Sequence:
     """How :func:`_streamed_critical_ranks` reads the p-point windows (entry
     p - 1, up to the longest window of a successor) of the (4, R, D)
     :func:`tstrees.intervals.relation_boxes` at ``points`` = N_z, from their
-    :func:`_window_runs`.  On one reference (D = 1): pairs (starts, rels) of
-    a slice of starts, or at size 1 a list of the starts 0 and N_z - 1 that
-    the run holds, and the relations that read them (``A`` and ``Bi`` share
-    theirs at [0, 1]).  On several: (lo, hi, depth), the (R, D) rows of the
-    size's sparse table whose fold is each run, and the table's top level.
-    Level k holds from row k (S + 1) - 2^k + 1 the fold of every 2^k
-    consecutive starts of the S = N_z - p + 1, so that a run of length L is
-    the fold of level floor(log2 L) at its first start and at its stop - 2^k
-    (Bender and Farach-Colton, "The LCA Problem Revisited", LATIN 2000).  An
-    empty run, and at size 1 a missing start, reads the never row N_z
-    (floor(log2 N_z) + 1), past the largest table."""
+    :func:`_window_runs`.  On one reference (D = 1): a list of pairs (starts,
+    rels) of a slice of starts, or at size 1 a list of the starts 0 and N_z -
+    1 that the run holds, and the relations that read them (``A`` and ``Bi``
+    share theirs at [0, 1]).  On several: a :class:`_SparseReads`, whose
+    entry p - 1 is built when it is read."""
     r1, r2, c1, c2 = box
     # the longest window of a successor is that of [r1, c2]
     span_lo, span_hi = point_spans(r1, c2, points, 0)
     last = max(0, int((span_hi - span_lo + 1)[(r1 <= r2) & (c1 <= c2)].max()))
-    sizes = np.arange(1, last + 1)
-    first, stop = _window_runs(box, points, sizes[:, None, None])
     if box.shape[2] == 1:
+        sizes = np.arange(1, last + 1)
+        first, stop = _window_runs(box, points, sizes[:, None, None])
         reads = []
         for size, firsts, stops in zip(sizes.tolist(), first[..., 0].tolist(), stop[..., 0].tolist()):
             shared: dict = {}
@@ -310,18 +304,56 @@ def _window_reads(box: np.ndarray, points: int) -> list:
                     shared.setdefault(key, []).append(rel)
             reads.append([(list(key) if size == 1 else slice(*key), rels) for key, rels in shared.items()])
         return reads
-    never = points * points.bit_length()
-    length = stop - first
-    level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2 L)
-    span = 1 << level
-    base = level * (points + 2 - sizes[:, None, None]) - span + 1
-    held = length > 0
-    lo = np.where(held, base + first, never)
-    hi = np.where(held, base + stop - span, never)
-    if last:  # size 1: level 0 at the starts 0 and N_z - 1 only
-        lo[0] = np.where((first[0] <= 0) & (0 < stop[0]), 0, never)
-        hi[0] = np.where((first[0] < points) & (points <= stop[0]), points - 1, never)
-    return list(zip(lo, hi, level.max(axis=(1, 2)).tolist()))
+    return _SparseReads(box, points, last)
+
+
+class _SparseReads:
+    """The reads of :func:`_window_reads` on several references, built a
+    block of sizes at a time when :func:`_streamed_critical_ranks` first
+    reads one of them, and kept for the node's later batches.  Every size's
+    at once took 3.4 of the 4.8 MiB tracemalloc peak of a 96 x 6 x 150
+    tree; their ``lo`` and ``hi`` alone take under a third of that.
+
+    Entry p - 1 is (lo, hi, depth): the (R, D) rows of the size's sparse
+    table whose fold is each run, and the table's top level.  Level k holds
+    from row k (S + 1) - 2^k + 1 the fold of every 2^k consecutive starts of
+    the S = N_z - p + 1, so that a run of length L is the fold of level
+    floor(log2 L) at its first start and at its stop - 2^k (Bender and
+    Farach-Colton, "The LCA Problem Revisited", LATIN 2000).  An empty run,
+    and at size 1 a missing start, reads the never row N_z (floor(log2 N_z)
+    + 1), past the largest table."""
+
+    BLOCK = 16  # sizes built together
+
+    def __init__(self, box: np.ndarray, points: int, last: int):
+        self.box, self.points, self.last = box, points, last
+        self.reads: list[tuple[np.ndarray, np.ndarray, int]] = []
+
+    def __len__(self) -> int:
+        return self.last
+
+    def __getitem__(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        while len(self.reads) <= k:
+            self.reads.extend(self._block(len(self.reads) + 1))
+        return self.reads[k]
+
+    def _block(self, start: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """The entries of the sizes start .. start + BLOCK - 1, up to last."""
+        points = self.points
+        sizes = np.arange(start, min(start + self.BLOCK, self.last + 1))
+        first, stop = _window_runs(self.box, points, sizes[:, None, None])
+        never = points * points.bit_length()
+        length = stop - first
+        level = np.frexp(np.maximum(length, 1))[1] - 1  # floor(log2 L)
+        span = 1 << level
+        base = level * (points + 2 - sizes[:, None, None]) - span + 1
+        held = length > 0
+        lo = np.where(held, base + first, never)
+        hi = np.where(held, base + stop - span, never)
+        if start == 1:  # size 1: level 0 at the starts 0 and N_z - 1 only
+            lo[0] = np.where((first[0] <= 0) & (0 < stop[0]), 0, never)
+            hi[0] = np.where((first[0] < points) & (points <= stop[0]), points - 1, never)
+        return list(zip(lo, hi, level.max(axis=(1, 2)).tolist()))
 
 
 def _streamed_critical_ranks(
@@ -346,7 +378,7 @@ def _streamed_critical_ranks(
     satisfies the modality at thresholds[j] iff it is <= j (resp. > j).  It
     is folded in while :func:`_sorted_windows` holds each size's windows: on
     one reference over basic slices of the order-statistic row, on several
-    from a sparse table of that row (see :func:`_window_reads`) with two
+    from a sparse table of that row (see :class:`_SparseReads`) with two
     flat takes.  Own ranks 1 .. N_z (see :class:`_Seen`) take t = N_z + 1
     and ``floor`` = 0."""
     points, width = ranks.shape
@@ -576,8 +608,11 @@ def best_split(instances: Sequence[Instance], config: LearnerConfig) -> Optional
     # per relation, in rank order, the successor box of each distinct
     # reference; a relation without successors for any instance holds
     # nowhere, and since min_leaf_size >= 1 it has no admissible candidate
-    refs = np.array([inst.reference.x * (n + 1) + inst.reference.y for inst in instances])
-    distinct, back = np.unique(refs, return_inverse=True)
+    # (in Python: np.unique's first call here paged in 256-384 KiB of numpy
+    # code, which a fresh process's first tree adds to its peak RSS)
+    keys = [inst.reference.x * (n + 1) + inst.reference.y for inst in instances]
+    index = {key: k for k, key in enumerate(sorted(set(keys)))}
+    refs, distinct, back = np.array(keys), np.array(list(index)), np.array([index[key] for key in keys])
     ref_x, ref_y = np.divmod(distinct, n + 1)
     relations = sorted(config.relations, key=lambda r: r.rank)
     box = relation_boxes(relations, ref_x, ref_y, n)

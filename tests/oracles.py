@@ -10,6 +10,8 @@ evaluation internals except shared, purely definitional plumbing
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from tstrees.core import Comparator, IntervalRelation, Interval, TemporalDecision
+from tstrees.core import Comparator, DataFormatError, IntervalRelation, Interval, TemporalDecision
 from tstrees.induction import candidate_thresholds
 
 Rel = IntervalRelation
@@ -428,3 +430,84 @@ class ReferenceStaticTree:
             1 for i, lab in enumerate(labels) if self.predict_one(table[i]) == lab
         )
         return good / len(labels)
+
+
+def reference_read(content: str, fmt: str) -> tuple:
+    """Read a ``"uea"`` sequence file or a ``"semicolon"`` table (class in
+    the column named ``C``, else the last one) one token at a time, by the
+    rules the README states: blank lines, ``#`` and ``@`` lines and blank
+    rows are skipped, blank tokens are skipped, every case needs a label,
+    the first case's channel count and length (at least 2), and finite
+    values.
+
+    Returns (attribute names, class names, length, [(class index, channel
+    bytes)]), or raises the :class:`DataFormatError` of the first fault:
+    in a case, its label, then its channel count, then each cell in turn
+    (a token that is not a float, naming the cell's first bad token, then
+    no values, then the wrong count), and only once every cell has its
+    values, the first cell with a non-finite one."""
+    if fmt == "uea":
+        names, sep, cases, empty = None, ",", [], "no data lines found"
+        for lineno, raw in enumerate(content.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line[0] in "#@":
+                continue
+            parts = line.split(":")
+            if len(parts) < 2:
+                raise DataFormatError(f"line {lineno}: expected channels and a class label")
+            cases.append((parts[-1].strip(), parts[:-1], f"line {lineno}", "channel {}".format))
+    else:
+        rows = [row for row in csv.reader(io.StringIO(content)) if any(cell.strip() for cell in row)]
+        header = [cell.strip() for cell in rows[0]]
+        label_at = header.index("C") if "C" in header else len(header) - 1
+        names = header[:label_at] + header[label_at + 1 :]
+        sep, cases, empty = ";", [], "empty table: header but no data rows"
+        for r, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise DataFormatError(f"row {r}: expected {len(header)} columns, found {len(row)}")
+            cells = row[:label_at] + row[label_at + 1 :]
+            cases.append((row[label_at].strip(), cells, f"row {r}", lambda c: f"column {names[c]!r}"))
+    labels: dict = {}
+    out = []
+    width = length = None
+    for label, cells, where, cell_name in cases:
+        if not label:
+            raise DataFormatError(f"{where}: missing class label")
+        if width is None:
+            width = len(cells)
+        if len(cells) != width:
+            raise DataFormatError(f"{where}: {len(cells)} channels, expected {width}")
+        rows, infinite = [], None
+        for c, cell in enumerate(cells):
+            at = f"{where}, {cell_name(c)}"
+            values, bad, numeric = [], None, True
+            for token in cell.split(sep):
+                if not token.strip():
+                    continue
+                try:
+                    value = float(token)
+                except ValueError:
+                    numeric = False
+                    bad = bad or f"non-numeric value {token.strip()!r} at {at}"
+                    continue
+                if not math.isfinite(value):
+                    bad = bad or f"non-finite value {token.strip()!r} at {at}"
+                values.append(value)
+            if not numeric:
+                raise DataFormatError(bad)
+            if not values:
+                raise DataFormatError(f"{at}: empty cell")
+            if length is None:
+                length = len(values)
+                if length < 2:
+                    raise DataFormatError(f"{where}: series length 1, need at least 2")
+            if len(values) != length:
+                raise DataFormatError(f"{at}: {len(values)} values, expected {length}")
+            infinite = infinite or bad
+            rows.append(values)
+        if infinite:
+            raise DataFormatError(infinite)
+        out.append((labels.setdefault(label, len(labels)), np.array(rows, dtype=np.float64).tobytes()))
+    if not out:
+        raise DataFormatError(empty)
+    return names or [f"var{j}" for j in range(width)], list(labels), length, out

@@ -19,6 +19,7 @@ from tstrees.dataio import (
 )
 
 from conftest import long_dataset, random_dataset
+from oracles import reference_read
 
 
 SIMPLE_TABLE = "A1,C\n1;2;3,C1\n4;5;6,C2\n"
@@ -158,6 +159,104 @@ def test_both_formats_parse_to_the_same_dataset(drawn):
         assert [i.channels.tobytes() for i in parsed.instances] == [
             i.channels.tobytes() for i in source.instances
         ]
+
+
+def _render(fmt, cases):
+    """The text of ``cases``, (label, cells) with each cell a list of value
+    tokens, as a `.ts` file or a semicolon table with the class last."""
+    if fmt == "uea":
+        lines = [":".join(",".join(cell) for cell in cells) + ":" + label for label, cells in cases]
+        return "@problemName drawn\n@data\n" + "\n".join(lines) + "\n"
+    header = ",".join([f"A{j}" for j in range(len(cases[0][1]))] + ["C"])
+    rows = [",".join([";".join(cell) for cell in cells] + [label]) for label, cells in cases]
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _token_tables(draw):
+    """A well-formed table of 3-8 cases in either format: tokens with
+    spaces around some, some written as ``1_000``-style literals, and
+    after the first case some cells with a trailing separator."""
+    fmt = draw(st.sampled_from(("uea", "semicolon")))
+    width, length = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    pads = st.sampled_from(("", " ", "  "))
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.sampled_from(_EDGE_VALUES).map(repr),
+        st.integers(-10**7, 10**7).map("{:_}".format),
+    )
+    cases = []
+    for k in range(draw(st.integers(3, 8))):
+        cells = []
+        for _ in range(width):
+            cell = [draw(pads) + draw(values) + draw(pads) for _ in range(length)]
+            if k and draw(st.booleans()):
+                cell.append(draw(pads))  # a trailing separator
+            cells.append(cell)
+        cases.append((draw(st.sampled_from(("a", "b", "Walk", "Run_2"))), cells))
+    return fmt, cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(_token_tables())
+@example(("uea", [("a", [["1", "2"]]), ("b", [["1_000", " 2 ", ""]]), ("a", [["3", "4"]])]))
+def test_well_formed_tables_parse_as_the_token_reader_reads_them_property(table):
+    """Every case, whether read in one conversion or again cell by cell,
+    gives the per-token reference's exact values and labels."""
+    fmt, cases = table
+    text = _render(fmt, cases)
+    names, classes, length, cases_read = reference_read(text, fmt)
+    parsed = (parse_uea_sequence if fmt == "uea" else parse_semicolon_table)(text)
+    assert parsed.attribute_names == names and parsed.class_names == classes
+    assert parsed.series_length == length
+    assert [(i.class_index, i.channels.tobytes()) for i in parsed.instances] == cases_read
+
+
+_FAULTS = ("blank", "x", "nan", "inf", "1e999", "fewer", "more", "label", "channel")
+
+
+@st.composite
+def _faulty_tables(draw):
+    """A :func:`_token_tables` table with one fault in its second case or
+    a later one."""
+    fmt, cases = draw(_token_tables())
+    k = draw(st.integers(1, len(cases) - 1))
+    label, cells = cases[k]
+    cell = cells[draw(st.integers(0, len(cells) - 1))]
+    j = draw(st.sampled_from([j for j, token in enumerate(cell) if token.strip()]))
+    fault = draw(st.sampled_from(_FAULTS))
+    if fault == "blank":
+        cell[j] = draw(st.sampled_from(("", " ")))
+    elif fault == "fewer":
+        del cell[j]
+    elif fault == "more":
+        cell.insert(j, "7")
+    elif fault == "label":
+        label = draw(st.sampled_from(("", " ")))
+    elif fault == "channel":
+        cells.append(list(cell))
+    else:
+        cell[j] = fault
+    cases[k] = (label, cells)
+    return fmt, cases
+
+
+@settings(max_examples=300, deadline=None)
+@given(_faulty_tables())
+# a blank token in place of a value keeps the cell's separator count
+@example(("uea", [("a", [["1", "2", "3"]]), ("b", [["4", "", "6"]]), ("a", [["7", "8", "9"]])]))
+@example(("semicolon", [("a", [["1", "2"], ["3", "4"]]), ("b", [["5", "6"], ["7", " "]]), ("a", [["1", "2"], ["3", "4"]])]))
+def test_each_fault_after_the_first_case_raises_the_token_readers_error_property(table):
+    """One bad token, a missing or extra value, a missing label or an extra
+    channel in a later case raises the per-token reference's exact
+    message, naming the same row or line and cell."""
+    fmt, cases = table
+    text = _render(fmt, cases)
+    with pytest.raises(DataFormatError) as want:
+        reference_read(text, fmt)
+    with pytest.raises(DataFormatError) as got:
+        (parse_uea_sequence if fmt == "uea" else parse_semicolon_table)(text)
+    assert str(got.value) == str(want.value)
 
 
 UEA_CONTENT = """\
