@@ -4,6 +4,7 @@ Euclidean, independent DTW, dependent DTW)."""
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -101,22 +102,54 @@ def feature_table(dataset: TemporalDataset, mask: FeatureMask) -> tuple[np.ndarr
     return _features(_stack(dataset.instances), mask), names
 
 
-#: Cells per rolling buffer of one DTW pass.  A pass scores a block of
-#: columns, as many as this cap allows at n + 1 rows, so long series run
-#: fewer columns per pass.  For `dtw-d` a column is a (query, training
-#: series) pair; for the pruned `dtw-i` search it is one channel of a kept
-#: pair, and its two input columns are gathered per pass, which adds two
-#: (n, columns) arrays to the pass.  At 30 points this is 396 columns
-#: (96 KiB per buffer).  On the racket-compare benchmark, before the `dtw-i`
-#: pruning, half the cap ran about 20 % slower, and twice the cap about 5 %
-#: faster for about 0.45 MiB more peak RSS.  A `dtw-d` pass over c > 1
-#: channels also holds a channel buffer of c times a buffer's cells, where
-#: each diagonal's c squared differences are summed by one reduce instead of
-#: c - 1 adds.  At 30 points and 6 channels it is 557 KiB; on a 2-vCPU VM it
-#: cut `nn_predict` on 96 x 24 racket-sized series from about 21 to 18 ms,
-#: for 0.42 MiB more tracemalloc peak and about 0.4 MiB (1.2 %) more peak
-#: RSS on the racket-compare benchmark.
-_PASS_CELLS = 12_288
+#: Float64 cells that the arrays of one DTW pass may hold together (1 MiB).
+#: Per column a pass holds its share of the two tiles (n · c training and
+#: m · c query cells), with c > 1 channels n · c cells of the channel
+#: buffer, three rolling buffers of n + 1 cells and a cost row of n (see
+#: :func:`_column_cells`); a pass holds at least one column whatever the
+#: length.  For `dtw-d` a column is a (query, training series) pair; for
+#: `dtw-i` it is one channel of a pair, and the pruned `dtw-i` search takes
+#: half the budget (see :func:`_pair_dtw_i`).  At 30 points and 6 channels a
+#: `dtw-d` pass may hold 197 columns, so over the racket twin's 96 training
+#: series it takes two queries (192 columns, 995 KiB); at 150 points it
+#: takes 39 series of one query.  One query per pass (96 columns) measured
+#: no faster on the racket-compare benchmark.
+_PASS_BUDGET = 2**17
+
+
+def _column_cells(n: int, m: int, c: int) -> int:
+    """Float64 cells that one column of a DTW pass between n-point series
+    and m-point queries of c channels holds."""
+    return c * (n + m) + (n * c if c > 1 else 0) + 3 * (n + 1) + n
+
+
+def _pass_columns(n: int, m: int, c: int) -> int:
+    """Columns of one DTW pass: as many as :data:`_PASS_BUDGET` allows, less
+    the 7 cells that align its workspace, and at least one."""
+    return max(1, (_PASS_BUDGET - 7) // _column_cells(n, m, c))
+
+
+def _workspace(cells: int) -> np.ndarray:
+    """A flat float64 array of ``cells`` that starts on a 64-byte cache
+    line, cut from an allocation of ``cells + 7``.  A pass's arrays are
+    views of it, so their alignment does not depend on where the allocator
+    puts them: from a plain allocation, `nn_predict(..., "dtw-d")` on
+    racket-sized series took about 16 or about 22 ms, depending on
+    unrelated allocations made before it."""
+    raw = np.empty(cells + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + cells]
+
+
+def _carve(work: np.ndarray, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """C-contiguous views of consecutive runs of the flat array ``work``,
+    one per shape, from its front."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(work[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def _euclidean(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -132,32 +165,32 @@ def _euclidean(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """DTW of every column of one pass: ``train`` is (n, c, 1, r) and
-    ``queries`` (m, c, b, 1), both time-major, the queries in reversed time
-    (row m - j holds step j), and column (q, s) pairs query q with series s.
-    The local cost of (i, j) is the squared difference between step i of a
-    series and step j of a query, summed over the channels in channel
-    order.
+def _dtw_pass(train: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """DTW of every column of one pass: ``train`` is (n, c, w) and
+    ``queries`` (m, c, w), both time-major and C-contiguous, the queries in
+    reversed time (row m - j holds step j), and column k pairs training
+    column k with query column k.  The local cost of (i, j) is the squared
+    difference between step i of a series and step j of a query, summed over
+    the channels in channel order.  The pass keeps its buffers at the front
+    of the flat float64 array ``work``, so that a caller's passes reuse one
+    allocation.
 
     The accumulated-cost table D is filled one anti-diagonal i + j = k at a
     time: a cell's predecessors (i-1, j), (i, j-1) and (i-1, j-1) lie on
-    diagonals k-1 and k-2, so three rolling (n + 1, b, r) buffers indexed by
-    i suffice, and diagonal k is their contiguous slice [lo : hi + 1].  The
+    diagonals k-1 and k-2, so three rolling (n + 1, w) buffers indexed by i
+    suffice, and diagonal k is their contiguous slice [lo : hi + 1].  The
     query steps k - i of a diagonal fall as i rises, so reversed in time
-    they are one forward slice too.  Index 0 and the cells a diagonal does
-    not cover stay inf, which is D's boundary.  Returns the (b, r) values
-    D[n, m].
+    they are one forward slice too, and each diagonal's subtraction,
+    squaring and channel sum run on contiguous blocks of equal shape.
+    Index 0 and the cells a diagonal does not cover stay inf, which is D's
+    boundary.  Returns the w values D[n, m].
     """
-    n, c = train.shape[:2]
-    m, _, b = queries.shape[:3]
-    shape = (n + 1, b, train.shape[3])
-    back2 = np.full(shape, np.inf)  # diagonal k - 2
-    back1 = np.full(shape, np.inf)  # diagonal k - 1
-    cur = np.full(shape, np.inf)
-    cost = np.empty((n,) + shape[1:])
-    # the channel buffer: one diagonal's c squared differences side by side
-    channels = np.empty((n, c) + shape[1:]) if c > 1 else None
+    n, c, w = train.shape
+    m = queries.shape[0]
+    # the channel buffer holds one diagonal's c squared differences side by side
+    rolling, cost, channels = _carve(work, (3, n + 1, w), (n, w), (n, c, w) if c > 1 else (0,))
+    rolling.fill(np.inf)
+    back2, back1, cur = rolling  # diagonals k - 2, k - 1 and k
     back2[0] = 0.0  # diagonal 0 is D[0, 0] = 0, the start of every warp
     for k in range(2, n + m + 1):
         lo, hi = max(1, k - m), min(n, k - 1)
@@ -182,26 +215,39 @@ def _dtw_pass(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
         if k == 2:
             back2[0] = np.inf  # diagonal 0's buffer takes diagonal 3, where D[0, 3] = inf
         back2, back1, cur = back1, cur, back2
-    return back1[n]
+    return back1[n].copy()
 
 
 def _dtw(train: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Unconstrained DTW from each of g queries, stacked time-major in
     reversed time as (m, c, g), to each of r series stacked as (n, c, r),
-    with the local cost summed over the c channels.  The (g, r) pairs are
-    scored in passes of at most :data:`_PASS_CELLS` cells per buffer.
-    Returns the (g, r) table."""
-    n, _, r = train.shape
-    g = queries.shape[2]
-    out = np.empty((g, r))
-    columns = max(1, _PASS_CELLS // (n + 1))
+    with the local cost summed over the c channels.  A pass scores a block
+    of b queries against a block of s series as b · s query-major columns,
+    within :data:`_PASS_BUDGET`: all r series and as many queries as fit,
+    or, when the series alone overfill it, one query against as many series
+    as fit.  Every pass takes its tiles and buffers from one allocation.
+    Each block of series is tiled across a pass's queries once, and again
+    only for a shorter last pass; each pass repeats its queries across its
+    series.  Returns the (g, r) table."""
+    n, c, r = train.shape
+    m, _, g = queries.shape
+    columns = _pass_columns(n, m, c)
     width = min(r, columns)  # training series per pass
-    depth = max(1, columns // width)  # queries per pass
-    for q0 in range(0, g, depth):
-        for s0 in range(0, r, width):
-            out[q0 : q0 + depth, s0 : s0 + width] = _dtw_pass(
-                train[:, :, None, s0 : s0 + width], queries[:, :, q0 : q0 + depth, None]
-            )
+    depth = max(1, min(g, columns // width))  # queries per pass
+    work = _workspace(width * depth * _column_cells(n, m, c))
+    out = np.empty((g, r))
+    for s0 in range(0, r, width):
+        block = train[:, :, s0 : s0 + width]
+        s = block.shape[2]
+        for q0 in range(0, g, depth):
+            b = min(depth, g - q0)
+            tile, steps = _carve(work, (n, c, b, s), (m, c, b, s))
+            if q0 == 0 or b < depth:  # a new block of series, or a shorter pass
+                tile[...] = block[:, :, None]
+            steps[...] = queries[:, :, q0 : q0 + b, None]
+            out[q0 : q0 + b, s0 : s0 + s] = _dtw_pass(
+                tile.reshape(n, c, -1), steps.reshape(m, c, -1), work[tile.size + steps.size :]
+            ).reshape(b, s)
     return out
 
 
@@ -226,7 +272,7 @@ def _distances(train: Sequence[Instance], queries: Sequence[Instance], metric: s
     if metric == "ed-i":
         return _euclidean(_stack(train), _stack(queries))
     # time-major (queries in reversed time): one diagonal of a pass is a
-    # contiguous run of the buffers and of both stacks
+    # contiguous run of the buffers and of both tiles
     series = _stack(train).transpose(2, 1, 0).copy()
     steps = _stack(queries).transpose(2, 1, 0)[::-1].copy()
     if metric == "dtw-d":
@@ -281,21 +327,27 @@ def _pair_dtw_i(series: np.ndarray, steps: np.ndarray, pairs: np.ndarray) -> np.
     into ``steps`` (m, c, g), in reversed time, over series indices into
     ``series`` (n, c, r), both time-major.  Each (pair, channel) is one
     column of a :func:`_dtw_pass`, gathered pass by pass into C-contiguous
-    (time, column) stacks, so a pass holds up to :data:`_PASS_CELLS` /
-    (n + 1) columns.  Each pair's channel values are added in channel
-    order, as :func:`_distances` adds them, so every value is ``==`` to its
-    entry there."""
+    (time, 1, column) tiles of one allocation.  A pass holds half the
+    columns that :data:`_PASS_BUDGET` allows for one channel: beside its
+    passes the pruned search keeps both stacks, its bounds and its pair
+    lists, and at the whole budget its peak rose above that of `dtw-d`
+    (1,300 against 1,186 KiB on the racket-compare benchmark's 96/24
+    split).  Each pair's channel values are added in channel order, as
+    :func:`_distances` adds them, so every value is ``==`` to its entry
+    there."""
     n, c, r = series.shape
-    g = steps.shape[2]
-    series, steps = series.reshape(n, -1), steps.reshape(steps.shape[0], -1)
-    width = max(1, _PASS_CELLS // (n + 1))
+    m, _, g = steps.shape
+    series, steps = series.reshape(n, 1, -1), steps.reshape(m, 1, -1)
     per_channel = np.empty(pairs.shape[1] * c)
+    width = max(1, min(per_channel.size, _pass_columns(n, m, 1) // 2))
+    work = _workspace(width * _column_cells(n, m, 1))
     for start in range(0, per_channel.size, width):
         pair, ch = np.divmod(np.arange(start, min(start + width, per_channel.size)), c)
-        per_channel[start : start + width] = _dtw_pass(
-            series.take(ch * r + pairs[1, pair], axis=1)[:, None, None],
-            steps.take(ch * g + pairs[0, pair], axis=1)[:, None, None],
-        )[0]
+        tile, query = _carve(work, (n, 1, pair.size), (m, 1, pair.size))
+        # the indices are in range; "clip" spares the buffered copy of "raise"
+        series.take(ch * r + pairs[1, pair], axis=2, out=tile, mode="clip")
+        steps.take(ch * g + pairs[0, pair], axis=2, out=query, mode="clip")
+        per_channel[start : start + width] = _dtw_pass(tile, query, work[tile.size + query.size :])
     per_channel = per_channel.reshape(-1, c)
     out = per_channel[:, 0].copy()
     for ch in range(1, c):

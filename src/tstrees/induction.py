@@ -179,7 +179,7 @@ class SplitCandidate:
 #: ranks while N_z <= 254) that one batch of :func:`best_split` may hold.
 #: Per degree, the attributes with thresholds are searched in batches, side
 #: by side on the instance axis, as many as fit (at least one), as
-#: :data:`tstrees.baselines._PASS_CELLS` caps a DTW pass.  Per instance, an
+#: :data:`tstrees.baselines._PASS_BUDGET` sizes a DTW pass.  Per instance, an
 #: attribute counts its two window buffers of floor((N_z + 1)^2 / 4) cells
 #: and its largest sparse table, N_z (floor(log2 N_z) + 1) cells; a node of
 #: a tree that reads kept critical values grows no window but batches its

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -326,9 +327,9 @@ def _ref_nn_classify(train, query, metric):
 @st.composite
 def _batches(draw):
     """r training series and g queries of c channels and n points, two
-    univariate series of lengths n and m for the pairwise ``dtw``, and a cap
-    on the cells per DTW pass, mostly small enough to split the queries, the
-    training series or both over several passes.  c runs up to six, the
+    univariate series of lengths n and m for the pairwise ``dtw``, and a
+    budget of cells per DTW pass, mostly small enough to split the queries,
+    the training series or both over several passes.  c runs up to six, the
     racket twin's width, so the ``dtw-d`` channel sums are checked at that
     length."""
     r = draw(st.integers(1, 5))
@@ -342,19 +343,19 @@ def _batches(draw):
     a = np.array(draw(st.lists(_values, min_size=n, max_size=n)))
     b = np.array(draw(st.lists(_values, min_size=m, max_size=m)))
     classes = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
-    cells = draw(st.one_of(st.just(baselines._PASS_CELLS), st.integers(1, 9 * 5 * 7)))
+    cells = draw(st.one_of(st.just(baselines._PASS_BUDGET), st.integers(1, 9 * 5 * 7)))
     return train, queries, a, b, classes, cells
 
 
 _tied = [np.array([[1.0, 2.0, 3.0], [0.5, 0.25, 1e3]])] * 2
-# two-point series give three buffer rows, so at the real cap one pass holds
-# a third of it in columns; this training set is wider than that
-_wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS // 3 + 3, 2, 2)) * 0.5
+# at the real budget the widest pass over two-point series is a one-channel
+# one; this training set is wider than that
+_wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._pass_columns(2, 2, 1) + 3, 2, 2)) * 0.5
 
 
 @settings(max_examples=300, deadline=None)
 @given(_batches())
-@example(([np.array([[2.0, 1e-3]])], [np.array([[1e3, -5.0]])], np.array([7.0, 1.0]), np.array([3.0]), [0], baselines._PASS_CELLS))
+@example(([np.array([[2.0, 1e-3]])], [np.array([[1e3, -5.0]])], np.array([7.0, 1.0]), np.array([3.0]), [0], baselines._PASS_BUDGET))
 # 3 + 1 queries per pass over one training series, then 5 series over
 # passes of 2 + 2 + 1 for each single query
 @example(
@@ -365,7 +366,7 @@ _wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS //
         np.array([1.0, 2.0, 3.0]),
         np.array([0.0, 2.0]),
         [2],
-        12,
+        70,
     )
 )
 @example(
@@ -375,7 +376,7 @@ _wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS //
         np.array([1.0, 2.0]),
         np.array([0.0, 2.0, 5.0]),
         [0, 1, 2, 0, 1],
-        6,
+        37,
     )
 )
 # tied duplicate training series of different classes: the first one wins
@@ -386,7 +387,7 @@ _wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS //
         np.array([1e3, -1e3]),
         np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
         [1, 2],
-        baselines._PASS_CELLS,
+        baselines._PASS_BUDGET,
     )
 )
 @example(
@@ -396,7 +397,7 @@ _wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS //
         np.array([1.0, 2.0, 4.0]),
         np.array([2.0]),
         [0, 2, 1, 0],
-        8,
+        73,
     )
 )
 @example(
@@ -406,7 +407,7 @@ _wide = np.random.default_rng(11).integers(-4, 5, size=(baselines._PASS_CELLS //
         np.array([1.0, -2.0]),
         np.array([0.5, 0.0, 2.0]),
         [k % 3 for k in range(len(_wide))],
-        baselines._PASS_CELLS,
+        baselines._PASS_BUDGET,
     )
 )
 def test_batched_distances_equal_the_scalar_reference(batch):
@@ -415,7 +416,7 @@ def test_batched_distances_equal_the_scalar_reference(batch):
     instances = [Instance(x, cls) for x, cls in zip(train, classes)]
     targets = [Instance(x, 0) for x in queries]
     dataset = TemporalDataset(instances, [f"a{i}" for i in range(c)], ["u", "v", "w"], n)
-    with mock.patch.object(baselines, "_PASS_CELLS", cells):
+    with mock.patch.object(baselines, "_PASS_BUDGET", cells):
         for metric, func in _REFERENCE.items():
             dist = _distances(instances, targets, metric)
             assert dist.shape == (len(targets), len(instances))
@@ -433,6 +434,70 @@ def test_batched_distances_equal_the_scalar_reference(batch):
         assert dtw(a, b) == _ref_dtw(a, b)
         assert dtw(b, a) == _ref_dtw(b, a)
         assert dtw(a[:1], b) == _ref_dtw(a[:1], b)
+
+
+def _pass_cells(call):
+    """Float64 cells that one :func:`baselines._dtw_pass` call holds: its
+    two tiles and the work array it takes its buffers from are views of one
+    allocation, counted whole."""
+    assert len({id(x.base) for x in call.args}) == 1
+    return call.args[0].base.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(1, 40), st.integers(1, 6),
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 20_000),
+)
+def test_a_dtw_pass_holds_at_most_the_budget(n, m, c, r, g, budget):
+    rng = np.random.default_rng(0)
+    series, steps = rng.normal(size=(n, c, r)), rng.normal(size=(m, c, g))
+    pairs = np.array(np.divmod(np.arange(g * r), r))
+    with mock.patch.object(baselines, "_PASS_BUDGET", budget):
+        with mock.patch.object(baselines, "_dtw_pass", wraps=baselines._dtw_pass) as passes:
+            baselines._dtw(series, steps)
+        with mock.patch.object(baselines, "_dtw_pass", wraps=baselines._dtw_pass) as pair_passes:
+            baselines._pair_dtw_i(series, steps, pairs)
+    # every pass runs on C-contiguous, paired columns, within the budget
+    # unless it holds the one column that every pass may hold
+    for call in passes.call_args_list + pair_passes.call_args_list:
+        train, queries, _ = call.args
+        assert train.flags.c_contiguous and queries.flags.c_contiguous
+        assert train.ctypes.data % 64 == 0  # the workspace starts on a cache line
+        assert train.shape[1:] == queries.shape[1:] and queries.shape[0] == m
+        assert train.shape[2] == 1 or _pass_cells(call) <= budget
+    # the pruned dtw-i search keeps its passes to half the budget, apart
+    # from the 7 cells that align a pass's workspace
+    for call in pair_passes.call_args_list:
+        assert call.args[0].shape[2] == 1 or _pass_cells(call) <= budget // 2 + 7
+    assert sum(call.args[0].shape[2] for call in passes.call_args_list) == g * r
+    assert sum(call.args[0].shape[2] for call in pair_passes.call_args_list) == g * r * c
+
+
+def test_a_racket_sized_dtw_d_pass_holds_two_queries():
+    # the racket-compare benchmark's shape: 96 training series of 6 channels
+    # and 30 points, and 24 queries; one query per pass measured no faster
+    rng = np.random.default_rng(3)
+    train = TemporalDataset(
+        [Instance(rng.normal(size=(6, 30)), k % 4) for k in range(96)],
+        [f"a{i}" for i in range(6)], ["u", "v", "w", "x"], 30,
+    )
+    queries = [Instance(rng.normal(size=(6, 30)), 0) for _ in range(24)]
+    with mock.patch.object(baselines, "_dtw_pass", wraps=baselines._dtw_pass) as passes:
+        nn_predict(train, queries, "dtw-d")
+    assert [call.args[0].shape[2] for call in passes.call_args_list] == [2 * 96] * 12
+    assert all(_pass_cells(call) <= baselines._PASS_BUDGET for call in passes.call_args_list)
+    # what tracemalloc sees the passes allocate stays within the budget and
+    # the (24, 96) table they fill
+    series = baselines._stack(train.instances).transpose(2, 1, 0).copy()
+    steps = baselines._stack(queries).transpose(2, 1, 0)[::-1].copy()
+    tracemalloc.start()
+    try:
+        baselines._dtw(series, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (baselines._PASS_BUDGET + 24 * 96)
 
 
 @pytest.mark.parametrize("metric", DISTANCE_METRICS)
@@ -519,9 +584,9 @@ def test_pruning_skips_pairs_on_planted_data():
     with mock.patch.object(baselines, "_dtw_pass", wraps=baselines._dtw_pass) as passes:
         got = nn_predict(train, queries, "dtw-i")
     assert got == _full_dtw_i_argmin(train, queries) == [k % 3 for k in range(6)]
-    # a pass's columns are its queries times its training series; with the
+    # a pass's columns are the last axis of its (n, c, w) arguments; with the
     # bound switched off the passes would score all 6 * 30 pairs of 2 channels
-    columns = sum(call.args[1].shape[2] * call.args[0].shape[3] for call in passes.call_args_list)
+    columns = sum(call.args[0].shape[2] for call in passes.call_args_list)
     assert columns < 6 * 30 * 2 // 2
 
 
